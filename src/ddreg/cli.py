@@ -25,7 +25,6 @@ from .fileio import (
     load_regulator,
     load_system,
     merge_config,
-    parse_problem,
     save_problem,
     save_regulator,
     write_trajectories_csv,
@@ -45,7 +44,6 @@ from .synthesis import (
     synthesize,
     synthesize_unknown_a3,
     verify_regulator,
-    verify_regulator_unknown_a3,
 )
 
 _ORDER_CHOICES = ("condition2-first", "condition1-first")
@@ -112,20 +110,19 @@ def _print_report(doc, result, seed: int) -> None:
     print(f"rank(X2_minus): {report.rank_X2_minus} of {problem.n2}")
     print(_condition_line("condition2", report.condition2))
     print(_condition_line("condition1", report.condition1))
-    if report.lmi.iterations > 0:
+    if report.lmi.margin is not None:
         print(
             f"lmi: min_eig={report.lmi.min_eigenvalue:.3e} "
-            f"iterations={report.lmi.iterations}"
+            f"margin={report.lmi.margin:.3e}"
         )
     for message in report.messages:
         print(message)
 
 
-def _run_synthesis(doc, args, seed):
+def _run_synthesis(doc, args):
     config = merge_config(
         doc.config_overrides,
         try_order=args.order.replace("-", "_") if args.order else None,
-        lmi_seed=seed,
     )
     run = synthesize_unknown_a3 if args.unknown_a3 else synthesize
     return run(doc.problem, config)
@@ -144,7 +141,7 @@ def _data_closed_loop_radius(problem, regulator, unknown_a3: bool) -> float:
 def cmd_check(args) -> int:
     doc = load_problem(args.problem)
     seed = _resolve_seed(args.seed)
-    result = _run_synthesis(doc, args, seed)
+    result = _run_synthesis(doc, args)
     _print_report(doc, result, seed)
     return 0 if result.regulator is not None else 2
 
@@ -152,7 +149,7 @@ def cmd_check(args) -> int:
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     seed = _resolve_seed(args.seed)
-    result = _run_synthesis(doc, args, seed)
+    result = _run_synthesis(doc, args)
     _print_report(doc, result, seed)
     if result.regulator is None:
         return 2
@@ -236,10 +233,10 @@ def cmd_example(args) -> int:
     print(f"wrote {problem_path}")
 
     check_args = argparse.Namespace(
-        problem=str(problem_path), seed=seed, order=None, unknown_a3=False
+        problem=str(problem_path), order=None, unknown_a3=False
     )
     doc = load_problem(problem_path)
-    result = _run_synthesis(doc, check_args, seed)
+    result = _run_synthesis(doc, check_args)
     _print_report(doc, result, seed)
     if result.regulator is None:
         return 2
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_synthesis_flags(p):
         p.add_argument("problem", help="problem file (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="search seed (fallback: DDREG_SEED, then 0)")
+        p.add_argument("--seed", type=int, default=None, help="seed echoed in the report; the decision draws no random numbers (fallback: DDREG_SEED, then 0)")
         p.add_argument("--order", choices=_ORDER_CHOICES, default=None, help="condition try order")
         p.add_argument("--unknown-a3", action="store_true", help="treat the coupling matrix as unknown")
 

@@ -1,4 +1,4 @@
-"""Feasibility solver for the stabilizing right-inverse condition.
+"""Exact decision of the stabilizing right-inverse condition.
 
 A right-inverse of X making Z X^dagger stable exists iff some Theta with
 X Theta symmetric makes the block matrix
@@ -9,21 +9,17 @@ positive definite; X^dagger is then Theta (X Theta)^{-1}.  Optional
 equality constraints C_k Theta = 0 restrict the admissible right-inverses
 (they carry requirements such as output zeroing or coupling rejection).
 
-The search runs as a phase-I concave maximization: the smallest
-eigenvalue of the block matrix is concave in Theta, all linear
-constraints (symmetry and equalities) are eliminated once through an
-orthonormal null-space parametrization, and projected supergradient
-ascent with a 1/sqrt(k) step schedule maximizes the eigenvalue over a
-Frobenius ball.  Multi-start uses one deterministic warm start along the
-least-squares right-inverse direction plus seeded Gaussian draws; results
-merge by best margin with earlier starts winning ties.  "Not found" means
-no feasible point was located within the bound and iteration budget; it
-is never a proof of infeasibility.
+Every admissible right-inverse is Xp + N F, with Xp solving
+[X; C_k] Xp = [I; 0] and N spanning the null space of [X; C_k], so
+Z X^dagger = Z Xp + Z N F and a stabilizing one exists iff (Z Xp, Z N)
+is stabilizable.  A Popov-Belevitch-Hautus rank test decides this
+exactly; when it passes, a discrete Riccati design gives F, and the
+Lyapunov solution P of the closed loop gives the certificate
+Theta = X^dagger P.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +31,18 @@ __all__ = [
     "LmiProblem",
     "LmiSolution",
     "ThetaCheck",
+    "Witness",
     "block_matrix",
     "solve_lmi",
     "check_theta",
 ]
 
-# Ascent tuning.  The step length lives in coefficient space where the
-# ball has radius 1, so it does not depend on the data scale.
-_ALPHA0 = 0.25
-_STALL_EVERY = 250
-_STALL_RTOL = 1e-3
-_SKIP_RATIO = 0.05
+# Eigenvalues this close to the unit circle count as unstable.
+_UNIT_CIRCLE_TOL = 1e-9
+# PBH rank cutoff, relative to the size of the data behind A0 and B0.  On
+# the bundled test corpora uncontrollable modes sit below 3e-16 on this
+# scale and controllable ones above 7e-10.
+_PBH_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +94,46 @@ class LmiProblem:
         return self.X.shape[1]
 
 
+@dataclass(frozen=True)
+class Witness:
+    """Why no admissible right-inverse makes Z X^dagger stable.
+
+    eigenvalue is a mode, |eigenvalue| >= 1, of Z X^dagger for every
+    admissible X^dagger; None means that no right-inverse of X satisfies
+    the constraints.
+    """
+
+    eigenvalue: complex | None = None
+
+    def __str__(self) -> str:
+        lam = self.eigenvalue
+        if lam is None:
+            return "no right-inverse of X satisfies the constraints"
+        text = f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}"
+        return (
+            f"eigenvalue {text} (modulus {abs(lam):.6g}) is a mode of "
+            "the closed loop for every admissible right-inverse"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LmiSolution:
-    """Search outcome.  min_eig is the best achieved block eigenvalue.
+    """Decision with its certificate.  min_eig is the block eigenvalue.
 
-    When found is False, Theta and X_dagger are None and min_eig reports
-    how close the search got (a value <= margin).
+    When found is False, Theta and X_dagger are None.  A witness proves
+    that no admissible right-inverse is stabilizing; min_eig is then 0
+    (the supremum over admissible Theta), or -inf without any
+    right-inverse.  Without a witness a stabilizing right-inverse exists
+    but its certificate reached only min_eig, below the margin.
+    iterations is always 0: nothing is searched.
     """
 
     found: bool
     Theta: np.ndarray | None
     min_eig: float
     X_dagger: np.ndarray | None
-    iterations: int
+    iterations: int = 0
+    witness: Witness | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,196 +160,97 @@ def _block_min_eig(X, Z, Theta) -> float:
     return float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
 
 
-def _constraint_null_basis(problem: LmiProblem) -> np.ndarray:
-    """Orthonormal basis of {vec Theta : X Theta symmetric, C_k Theta = 0}."""
-    n, tau = problem.n, problem.tau
-    dim = tau * n
-    rows = []
-    if n > 1:
-        P = np.kron(np.eye(n), problem.X)
-        sym = []
-        for j in range(n):
-            for i in range(j):
-                sym.append(P[i + j * n] - P[j + i * n])
-        rows.append(np.array(sym))
-    for C in problem.equality_constraints:
-        rows.append(np.kron(np.eye(n), C))
-    if not rows:
-        return np.eye(dim)
-    A = np.vstack(rows)
-    return scipy.linalg.null_space(A)
+def _right_inverses(problem: LmiProblem) -> tuple[np.ndarray, np.ndarray] | None:
+    """Xp and an orthonormal N with {Xp + N F} the admissible right-inverses.
 
-
-def _ascend(G, c0, iters, two_n):
-    """Projected supergradient ascent on the unit coefficient ball.
-
-    Returns the best smallest eigenvalue seen, its coefficient vector,
-    the eigenvalue ratio at that point and the iterations consumed.
+    Returns None when [X; C_k] X^dagger = [I; 0] has no solution.
     """
-    c = c0.copy()
-    best_lam = -np.inf
-    best_c = c0.copy()
-    best_ratio = -np.inf
-    last_best = -np.inf
-    used = 0
-    for k in range(1, iters + 1):
-        used = k
-        M = (G @ c).reshape((two_n, two_n), order="F")
-        w, V = np.linalg.eigh(M)
-        lam = w[0]
-        if lam > best_lam:
-            best_lam = lam
-            best_c[:] = c
-            if w[-1] > 0.0:
-                best_ratio = lam / w[-1]
-        if k % _STALL_EVERY == 0:
-            if best_lam - last_best <= max(1e-14, _STALL_RTOL * abs(best_lam)):
-                break
-            last_best = best_lam
-        v = V[:, 0]
-        g = G.T @ np.outer(v, v).ravel(order="F")
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            break
-        c += (_ALPHA0 / math.sqrt(k)) * (g / gn)
-        nc = np.linalg.norm(c)
-        if nc > 1.0:
-            c /= nc
-    return best_lam, best_c, best_ratio, used
-
-
-def _riccati_start(problem: LmiProblem, basis: np.ndarray) -> np.ndarray | None:
-    """Coefficient vector of a Lyapunov-shaped start, when one exists.
-
-    A right-inverse respecting the equality constraints is steered by a
-    discrete Riccati design acting on the free directions; Theta0 is
-    that right-inverse times the Lyapunov certificate of its closed
-    loop, which is strictly feasible whenever the design succeeds.
-    """
-    X, Z = problem.X, problem.Z
     n = problem.n
-    stacked = np.vstack([X] + list(problem.equality_constraints))
-    rhs = np.vstack(
-        [np.eye(n)]
-        + [np.zeros((C.shape[0], n)) for C in problem.equality_constraints]
-    )
-    Xp, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if np.linalg.norm(stacked @ Xp - rhs) > 1e-8 * (1.0 + math.sqrt(n)):
+    S = np.vstack((problem.X,) + problem.equality_constraints)
+    rhs = np.zeros((S.shape[0], n))
+    rhs[:n] = np.eye(n)
+    U, s, Vh = np.linalg.svd(S)
+    r = rank_from_singular_values(s, S.shape)
+    # [I; 0] is in the range of S iff no left null vector of S reaches the
+    # rows of X; on the test corpora such a part is below 1e-15 or above 0.1.
+    if np.linalg.norm(U[:n, r:]) > 1e-8:
         return None
-    N = scipy.linalg.null_space(stacked)
-    candidates = []
-    if N.shape[1]:
-        A0, B0 = Z @ Xp, Z @ N
-        try:
-            P = scipy.linalg.solve_discrete_are(
-                A0, B0, np.eye(n), np.eye(B0.shape[1])
-            )
-            F = -np.linalg.solve(B0.T @ P @ B0 + np.eye(B0.shape[1]), B0.T @ P @ A0)
-            candidates.append(Xp + N @ F)
-        except (np.linalg.LinAlgError, ValueError):
-            pass
-    candidates.append(Xp)
-    for X_dag in candidates:
-        A_cl = Z @ X_dag
-        if np.abs(np.linalg.eigvals(A_cl)).max() >= 1.0 - 1e-9:
-            continue
-        P_cl = scipy.linalg.solve_discrete_lyapunov(A_cl, np.eye(n))
-        c = basis.T @ (X_dag @ P_cl).ravel(order="F")
-        norm = np.linalg.norm(c)
-        if np.isfinite(norm) and norm > 1e-12:
-            return c / norm
+    Xp = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r, None])
+    return Xp, Vh[r:].T
+
+
+def _stuck_mode(Z, Xp, N) -> complex | None:
+    """An eigenvalue |lambda| >= 1 of Z Xp that no Z N F moves (PBH test).
+
+    Z N is scaled by |Xp| into the units of Z Xp.  |Z| |Xp| bounds both,
+    so their roundoff is about eps times that, which sets the cutoff.
+    """
+    n = Z.shape[0]
+    xp_norm = np.linalg.norm(Xp, 2)
+    A0, B0 = Z @ Xp, xp_norm * (Z @ N)
+    cutoff = _PBH_RTOL * max(1.0, np.linalg.norm(Z, 2) * xp_norm)
+    for lam in np.linalg.eigvals(A0):
+        if abs(lam) >= 1.0 - _UNIT_CIRCLE_TOL:
+            s = np.linalg.svd(np.hstack([A0 - lam * np.eye(n), B0]), compute_uv=False)
+            if s[n - 1] <= cutoff:
+                return complex(lam)
     return None
 
 
-def _not_found(min_eig: float, iterations: int) -> LmiSolution:
+def _riccati_gain(A0: np.ndarray, B0: np.ndarray) -> np.ndarray:
+    """F making A0 + B0 F stable: the LQR gain with unit weights."""
+    n, m = B0.shape
+    if m == 0:
+        return np.zeros((0, n))
+    S = scipy.linalg.solve_discrete_are(A0, B0, np.eye(n), np.eye(m))
+    return -np.linalg.solve(B0.T @ S @ B0 + np.eye(m), B0.T @ S @ A0)
+
+
+def _not_found(min_eig: float, witness: Witness | None = None) -> LmiSolution:
     return LmiSolution(
-        found=False, Theta=None, min_eig=min_eig, X_dagger=None, iterations=iterations
+        found=False, Theta=None, min_eig=min_eig, X_dagger=None, witness=witness
     )
 
 
 def solve_lmi(
     problem: LmiProblem,
-    budget: int = 20000,
-    n_starts: int = 5,
-    seed: int = 0,
+    budget: int | None = None,
+    n_starts: int | None = None,
+    seed: int | None = None,
 ) -> LmiSolution:
-    """Search for a feasible Theta.
+    """Decide the instance exactly and construct a certificate.
 
-    The budget is the total iteration count, split evenly across the
-    starts.  The first start projects the transpose of X (the
-    least-squares right-inverse direction) onto the constraint subspace,
-    the second is Riccati-shaped when that design goes through, and the
-    remaining starts draw Gaussian coefficients from seeded generators,
-    so the whole search is deterministic for a given seed.  The returned
-    Theta is rescaled to Frobenius norm rho, which leaves X_dagger
-    unchanged and maximizes the eigenvalue margin within the bound.
+    The returned Theta is rescaled to Frobenius norm rho, which leaves
+    X_dagger unchanged and maximizes the eigenvalue margin within the
+    bound.  budget, n_starts and seed are accepted for compatibility and
+    ignored.
     """
     X, Z = problem.X, problem.Z
-    n, tau = problem.n, problem.tau
-    s = np.linalg.svd(X, compute_uv=False)
-    if rank_from_singular_values(s, X.shape) < n:
-        return _not_found(min_eig=-np.inf, iterations=0)
-
-    basis = _constraint_null_basis(problem)
-    d = basis.shape[1]
-    if d == 0:
-        # Only Theta = 0 satisfies the constraints; never feasible.
-        return _not_found(min_eig=0.0, iterations=0)
-
-    two_n = 2 * n
-    G = np.empty((two_n * two_n, d))
-    for j in range(d):
-        Theta_j = basis[:, j].reshape((tau, n), order="F")
-        G[:, j] = block_matrix(X, Z, Theta_j).ravel(order="F")
-
-    starts = []
-    warm = basis.T @ X.T.ravel(order="F")
-    warm_norm = np.linalg.norm(warm)
-    if warm_norm > 1e-12 * (1.0 + np.linalg.norm(X)):
-        starts.append(warm / warm_norm)
-    riccati = _riccati_start(problem, basis)
-    if riccati is not None:
-        starts.append(riccati)
-    j = 0
-    while len(starts) < n_starts:
-        rng = np.random.default_rng([seed, j])
-        draw = rng.standard_normal(d)
-        starts.append(draw / np.linalg.norm(draw))
-        j += 1
-
-    per_start = max(1, budget // n_starts)
-    feas_unit = problem.margin / problem.rho
-    best_lam = -np.inf
-    best_c = None
-    total_used = 0
-    for c0 in starts:
-        lam, c, ratio, used = _ascend(G, c0, per_start, two_n)
-        total_used += used
-        if lam > best_lam:
-            best_lam, best_c = lam, c
-            best_ratio = ratio
-        # A strictly feasible point with a healthy eigenvalue ratio is
-        # good enough; later starts cannot change the decision.
-        if best_lam > feas_unit and best_ratio >= _SKIP_RATIO:
-            break
-
-    if best_c is None or np.linalg.norm(best_c) < 1e-14:
-        return _not_found(min_eig=min(best_lam, 0.0), iterations=total_used)
-
-    scale = problem.rho / np.linalg.norm(best_c)
-    Theta = (basis @ (best_c * scale)).reshape((tau, n), order="F")
+    family = _right_inverses(problem)
+    if family is None:
+        return _not_found(-np.inf, Witness())
+    Xp, N = family
+    mode = _stuck_mode(Z, Xp, N)
+    if mode is not None:
+        return _not_found(0.0, Witness(mode))
+    try:
+        X_dagger = Xp + N @ _riccati_gain(Z @ Xp, Z @ N)
+        A_cl = Z @ X_dagger
+        # P solves the Lyapunov equation of A_cl / gamma with gamma
+        # halfway between the spectral radius and 1.  Then
+        # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
+        # block well conditioned even when A_cl is far from normal.
+        gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
+        P = scipy.linalg.solve_discrete_lyapunov(A_cl / gamma, np.eye(problem.n))
+    except (np.linalg.LinAlgError, ValueError):
+        return _not_found(0.0)
+    Theta = X_dagger @ P
+    Theta *= problem.rho / np.linalg.norm(Theta)
     min_eig = _block_min_eig(X, Z, Theta)
-    if min_eig < problem.margin:
-        return _not_found(min_eig=min_eig, iterations=total_used)
-    P = X @ Theta
-    X_dagger = np.linalg.solve(P.T, Theta.T).T
-    return LmiSolution(
-        found=True,
-        Theta=Theta,
-        min_eig=min_eig,
-        X_dagger=X_dagger,
-        iterations=total_used,
-    )
+    if not min_eig >= problem.margin:
+        return _not_found(min_eig)
+    X_dagger = np.linalg.solve((X @ Theta).T, Theta.T).T
+    return LmiSolution(found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger)
 
 
 def check_theta(problem: LmiProblem, Theta) -> ThetaCheck:

@@ -411,10 +411,14 @@ class ConditionReport:
 
 @dataclass
 class LmiReport:
-    """Best feasibility margin achieved and iterations spent."""
+    """Best certificate margin and its threshold (None if nothing was decided).
+
+    iterations stays 0: the right-inverse condition is decided, not searched.
+    """
 
     min_eigenvalue: float = float("-inf")
     iterations: int = 0
+    margin: float | None = None
 
 
 @dataclass

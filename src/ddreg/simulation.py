@@ -37,7 +37,11 @@ __all__ = [
     "sample_members_unknown_a3",
 ]
 
+# Roundoff floor of ||z||: an absolute floor, and a floor relative to the
+# peak that applies only within a factor of the final value.
 _ZERO_FLOOR = 1e-14
+_PEAK_FLOOR = 1e-12
+_FLOOR_SPREAD = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +190,13 @@ def decay_check(
 ) -> DecayResult:
     """Fit a geometric rate to ||z(t)|| and compare against rho_bound.
 
-    The rate is a least-squares fit of log ||z(t)|| over the tail half of
-    the horizon, ignoring steps already at the floating-point floor.  The
-    check passes when the fitted rate is at most rho_bound + rate_slack
-    and the terminal norm is below terminal_tol * (1 + ||z(0)||).  The
-    trajectory must hold at least 20 samples so the tail fit has support.
+    The rate is a least-squares fit of the log of the upper envelope
+    max_{s >= t} ||z(s)|| over the tail half of the horizon, so the dips
+    of an oscillating output do not bias it; steps whose envelope is at
+    the floating-point floor are ignored.  The check passes when the
+    fitted rate is at most rho_bound + rate_slack and the terminal norm
+    is below terminal_tol * (1 + ||z(0)||).  The trajectory must hold at
+    least 20 samples so the tail fit has support.
     """
     norms = np.linalg.norm(trajectory.z, axis=0)
     n_steps = norms.shape[0]
@@ -201,9 +207,14 @@ def decay_check(
     z0 = norms[0]
     terminal = float(norms[-1])
     terminal_ok = terminal < terminal_tol * (1.0 + z0)
-    tail = norms[n_steps // 2 :]
+    envelope = np.maximum.accumulate(norms[::-1])[::-1]
+    tail = envelope[n_steps // 2 :]
     t_tail = np.arange(n_steps // 2, n_steps)
-    mask = tail >= _ZERO_FLOOR
+    # A step is at the roundoff floor when its envelope is below an
+    # absolute floor, or tiny next to the peak and no longer decaying
+    # (within a factor of the final value).
+    floor = min(_PEAK_FLOOR * envelope[0], _FLOOR_SPREAD * envelope[-1])
+    mask = tail > max(_ZERO_FLOOR, floor)
     if mask.sum() < 2:
         # Output already at the floor on the tail: fully decayed.
         return DecayResult(passes=terminal_ok, fitted_rate=0.0, terminal_norm=terminal)

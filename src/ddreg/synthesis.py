@@ -70,7 +70,12 @@ _TRY_ORDERS = ("condition2_first", "condition1_first")
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Tolerances and search budgets for one synthesis run."""
+    """Tolerances and certificate settings for one synthesis run.
+
+    lmi_budget, lmi_starts and lmi_seed are still validated, so existing
+    problem files keep loading, but they have no effect: the
+    right-inverse condition is decided exactly.
+    """
 
     residual_tol: float = 1e-8
     try_order: str = "condition2_first"
@@ -228,27 +233,19 @@ def check_endo_stabilization(
     stabilizes every compatible member.
     """
     config = config or SynthesisConfig()
-    rank = _rank_x2_minus(problem)
-    if rank < problem.n2:
-        lmi = LmiSolution(
-            found=False, Theta=None, min_eig=float("-inf"), X_dagger=None, iterations=0
-        )
-        return EndoStabilization(
-            informative=False, K2=None, X_dagger=None, lmi=lmi, rank_X2_minus=rank
-        )
-    lmi = solve_lmi(
-        _lmi_for(problem, config, (), unknown_a3=False),
-        budget=config.lmi_budget,
-        n_starts=config.lmi_starts,
-        seed=config.lmi_seed,
-    )
-    if not lmi.found:
-        return EndoStabilization(
-            informative=False, K2=None, X_dagger=None, lmi=lmi, rank_X2_minus=rank
-        )
-    K2 = problem.data.U_minus @ lmi.X_dagger
+    lmi = solve_lmi(_lmi_for(problem, config, (), unknown_a3=False))
     return EndoStabilization(
-        informative=True, K2=K2, X_dagger=lmi.X_dagger, lmi=lmi, rank_X2_minus=rank
+        informative=lmi.found,
+        K2=problem.data.U_minus @ lmi.X_dagger if lmi.found else None,
+        X_dagger=lmi.X_dagger,
+        lmi=lmi,
+        rank_X2_minus=_rank_x2_minus(problem),
+    )
+
+
+def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutcome:
+    return ConditionOutcome(
+        holds=False, regulator=None, lmi=lmi, diagnostics=diagnostics, reasons=reasons
     )
 
 
@@ -259,10 +256,10 @@ def check_condition1(
 ) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
-    The right-inverse search is constrained so D2 + E K2 vanishes on the
-    data (and, in unknown-coupling mode, so the right-inverse annihilates
+    The right-inverse is constrained so D2 + E K2 vanishes on the data
+    (and, in unknown-coupling mode, so the right-inverse annihilates
     X1_minus).  The image-inclusion test runs first; when it already
-    fails the expensive search is skipped.
+    fails the right-inverse is not decided.
     """
     config = config or SynthesisConfig()
     known, data = problem.known, problem.data
@@ -270,34 +267,16 @@ def check_condition1(
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
     if inclusion > config.residual_tol * (1.0 + float(np.linalg.norm(known.D1))):
-        return ConditionOutcome(
-            holds=False,
-            regulator=None,
-            lmi=None,
-            diagnostics=diagnostics,
-            reasons=(f"im D1 is not contained in im E (residual {inclusion:.3e})",),
-        )
+        reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
+        return _fails(None, diagnostics, reason)
     constraints: tuple[np.ndarray, ...] = (_output_map(problem),)
     if unknown_a3:
         constraints = constraints + (data.X1_minus,)
-    lmi = solve_lmi(
-        _lmi_for(problem, config, constraints, unknown_a3),
-        budget=config.lmi_budget,
-        n_starts=config.lmi_starts,
-        seed=config.lmi_seed,
-    )
+    lmi = solve_lmi(_lmi_for(problem, config, constraints, unknown_a3))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
-        return ConditionOutcome(
-            holds=False,
-            regulator=None,
-            lmi=lmi,
-            diagnostics=diagnostics,
-            reasons=(
-                "no output-zeroing stabilizing right-inverse found within "
-                f"the LMI budget (best min_eig {lmi.min_eig:.3e})",
-            ),
-        )
+        sought = "stabilizing right-inverse that zeroes the output"
+        return _fails(lmi, diagnostics, _lmi_failure(lmi, sought, config))
     K2 = data.U_minus @ lmi.X_dagger
     provenance = "condition1_unknown_a3" if unknown_a3 else "condition1"
     regulator = Regulator(
@@ -325,32 +304,16 @@ def check_condition2(
     config = config or SynthesisConfig()
     data = problem.data
     constraints: tuple[np.ndarray, ...] = (data.X1_minus,) if unknown_a3 else ()
-    lmi = solve_lmi(
-        _lmi_for(problem, config, constraints, unknown_a3),
-        budget=config.lmi_budget,
-        n_starts=config.lmi_starts,
-        seed=config.lmi_seed,
-    )
+    lmi = solve_lmi(_lmi_for(problem, config, constraints, unknown_a3))
     W, residual, w_ok = _solve_w(problem, config, unknown_a3)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
-    if not (lmi.found and w_ok):
-        reasons = []
-        if not lmi.found:
-            reasons.append(
-                "no stabilizing right-inverse found within the LMI budget "
-                f"(best min_eig {lmi.min_eig:.3e})"
-            )
-        if not w_ok:
-            reasons.append(
-                f"regulator equations infeasible (residual {residual:.3e})"
-            )
-        return ConditionOutcome(
-            holds=False,
-            regulator=None,
-            lmi=lmi,
-            diagnostics=diagnostics,
-            reasons=tuple(reasons),
-        )
+    reasons = []
+    if not lmi.found:
+        reasons.append(_lmi_failure(lmi, "stabilizing right-inverse", config))
+    if not w_ok:
+        reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
+    if reasons:
+        return _fails(lmi, diagnostics, *reasons)
     X_dagger = lmi.X_dagger
     K2 = data.U_minus @ X_dagger
     K1 = data.U_minus @ (np.eye(problem.tau) - X_dagger @ data.X2_minus) @ W
@@ -374,17 +337,22 @@ def _fold_condition(report_slot: ConditionReport, outcome: ConditionOutcome) -> 
     report_slot.residuals.update(outcome.diagnostics)
 
 
-def _fold_lmi(report: SynthesisReport, lmi: LmiSolution | None) -> None:
+def _fold_lmi(
+    report: SynthesisReport, lmi: LmiSolution | None, config: SynthesisConfig
+) -> None:
     if lmi is None:
         return
-    report.lmi.iterations += lmi.iterations
-    if lmi.min_eig > report.lmi.min_eigenvalue:
-        report.lmi.min_eigenvalue = lmi.min_eig
+    report.lmi.margin = config.lmi_margin
+    report.lmi.min_eigenvalue = max(report.lmi.min_eigenvalue, lmi.min_eig)
 
 
-def _describe_failure(name: str, outcome: ConditionOutcome) -> str:
-    reasons = outcome.reasons or ("does not hold",)
-    return f"{name}: " + "; ".join(reasons)
+def _lmi_failure(lmi: LmiSolution, sought: str, config: SynthesisConfig) -> str:
+    if lmi.witness is not None:
+        return f"no {sought} exists: {lmi.witness}"
+    return (
+        f"a {sought} exists, but its certificate reaches min_eig "
+        f"{lmi.min_eig:.3e}, below the margin {config.lmi_margin:.3e}"
+    )
 
 
 def _synthesize(
@@ -405,34 +373,24 @@ def _synthesize(
         if config.try_order == "condition2_first"
         else ("condition1", "condition2")
     )
-    checks = {
-        "condition1": lambda: check_condition1(problem, config, unknown_a3),
-        "condition2": lambda: check_condition2(problem, config, unknown_a3),
-    }
+    checks = {"condition1": check_condition1, "condition2": check_condition2}
     slots = {"condition1": report.condition1, "condition2": report.condition2}
     outcomes: dict[str, ConditionOutcome] = {}
-    regulator = None
     for name in order:
-        outcome = checks[name]()
+        outcome = checks[name](problem, config, unknown_a3)
         outcomes[name] = outcome
         _fold_condition(slots[name], outcome)
-        _fold_lmi(report, outcome.lmi)
+        _fold_lmi(report, outcome.lmi, config)
         if outcome.holds:
-            regulator = outcome.regulator
             report.chosen_condition = name
             report.messages.append(
                 f"informative for regulator design via {name}"
                 + (" (unknown coupling)" if unknown_a3 else "")
             )
-            return SynthesisResult(regulator=regulator, report=report)
+            return SynthesisResult(regulator=outcome.regulator, report=report)
 
     for name in order:
-        report.messages.append(_describe_failure(name, outcomes[name]))
-    if report.lmi.iterations == 0:
-        # Neither branch ran a search; still report the plain
-        # endo-stabilization margin for diagnosis.
-        endo = check_endo_stabilization(problem, config)
-        _fold_lmi(report, endo.lmi)
+        report.messages.append(f"{name}: " + "; ".join(outcomes[name].reasons))
     report.messages.append("not informative for regulator design")
     return SynthesisResult(regulator=None, report=report)
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import ddreg
+from ddreg import KnownMatrices, build_problem
 from ddreg.cli import main
 from ddreg.examples import REFERENCE, fixture_text
-from ddreg.fileio import load_problem, load_regulator, save_regulator
+from ddreg.fileio import load_problem, load_regulator, save_problem, save_regulator
+
+from _instances import regulable_instance
 
 
 @pytest.fixture()
@@ -30,11 +33,39 @@ def test_check_informative_exits_zero(scalar_path, capsys):
     out = capsys.readouterr().out
     assert "informative for regulator design via condition2" in out
     assert "rank(X2_minus): 1 of 1" in out
+    assert "lmi: min_eig=" in out
+    assert "margin=1.000e-06" in out
 
 
 def test_check_not_informative_exits_two(scalar_path, capsys):
     assert main(["check", str(scalar_path), "--unknown-a3"]) == 2
     out = capsys.readouterr().out
+    assert "not informative for regulator design" in out
+
+
+def withheld_coupling_path(tmp_path, seed):
+    problem = regulable_instance(seed).problem
+    known = problem.known
+    withheld = KnownMatrices(A1=known.A1, A3=None, D1=known.D1, D2=known.D2, E=known.E)
+    path = tmp_path / f"regulable_{seed}_without_a3.json"
+    save_problem(path, build_problem(problem.data, withheld))
+    return path
+
+
+def test_check_prints_the_witness_of_a_not_informative_branch(tmp_path, capsys):
+    path = withheld_coupling_path(tmp_path, 6)
+    assert main(["check", str(path), "--unknown-a3"]) == 2
+    out = capsys.readouterr().out
+    assert "is a mode of the closed loop for every admissible right-inverse" in out
+    assert "lmi: min_eig=" in out
+    assert "margin=1.000e-06" in out
+
+
+def test_check_without_coupling_or_right_inverse_exits_two(tmp_path, capsys):
+    path = withheld_coupling_path(tmp_path, 23)
+    assert main(["check", str(path), "--unknown-a3"]) == 2
+    out = capsys.readouterr().out
+    assert "no right-inverse of X satisfies the constraints" in out
     assert "not informative for regulator design" in out
 
 

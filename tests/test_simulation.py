@@ -134,6 +134,47 @@ def test_decay_check_handles_floored_tail():
     assert result.fitted_rate == 0.0
 
 
+def output_trajectory(z):
+    z = np.atleast_2d(z)
+    zeros = np.zeros((1, z.shape[1]))
+    return Trajectory(x1=zeros, x2=zeros, u=zeros, z=z)
+
+
+def roundoff_floored(rate):
+    # A slow loop whose output bottoms out at a roundoff floor of 2e-14.
+    t = np.arange(horizon_for_radius(0.9) + 1)
+    noise = 2e-14 * np.random.default_rng(0).uniform(0.5, 1.5, size=t.size)
+    return output_trajectory(0.5 * rate**t + noise)
+
+
+def damped_oscillation(n_steps=40):
+    t = np.arange(n_steps)
+    return 0.54**t * np.cos(0.49 * np.pi * t + 13 * np.pi / 18)
+
+
+def test_decay_check_ignores_a_roundoff_floor_above_the_absolute_one():
+    result = decay_check(roundoff_floored(0.9), rho_bound=0.9)
+    assert result.passes
+    assert abs(result.fitted_rate - 0.9) < 0.01
+
+
+def test_decay_check_still_rejects_slow_decay_on_a_floor():
+    assert not decay_check(roundoff_floored(0.96), rho_bound=0.9).passes
+
+
+def test_decay_check_fits_the_envelope_of_an_oscillating_output():
+    result = decay_check(output_trajectory(damped_oscillation()), rho_bound=0.54)
+    assert result.passes
+    assert abs(result.fitted_rate - 0.54) < 0.01
+
+
+def test_decay_check_rejects_a_slow_mode_beside_an_oscillating_one():
+    z = np.vstack([damped_oscillation(), 0.62 ** np.arange(40)])
+    result = decay_check(output_trajectory(z), rho_bound=0.54)
+    assert not result.passes
+    assert result.fitted_rate > 0.6
+
+
 def test_sampled_members_satisfy_the_data():
     instance = regulable_instance(3)
     d = instance.problem.data

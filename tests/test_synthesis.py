@@ -228,6 +228,53 @@ def test_not_informative_report_explains_both_branches():
     assert "condition2" in text
 
 
+def withheld_coupling(problem):
+    known = problem.known
+    return build_problem(
+        problem.data,
+        KnownMatrices(A1=known.A1, A3=None, D1=known.D1, D2=known.D2, E=known.E),
+    )
+
+
+def test_withheld_coupling_without_a_right_inverse_is_not_informative():
+    # Both branches fail before any right-inverse is built, which once
+    # sent synthesis into a fallback that demanded the missing A3.
+    result = synthesize_unknown_a3(withheld_coupling(regulable_instance(23).problem))
+    assert result.regulator is None
+    text = " ".join(result.report.messages)
+    assert "no right-inverse of X satisfies the constraints" in text
+    assert "not informative for regulator design" in text
+
+
+def test_condition1_names_the_mode_no_right_inverse_can_move():
+    outcome = check_condition1(regulable_instance(2).problem)
+    assert not outcome.holds
+    lam = outcome.lmi.witness.eigenvalue
+    assert abs(lam) >= 1.0
+    assert outcome.lmi.min_eig == 0.0
+    assert "is a mode of the closed loop for every admissible" in outcome.reasons[0]
+
+
+def test_a_missed_margin_is_not_reported_as_infeasibility():
+    config = SynthesisConfig(lmi_margin=1e9)
+    outcome = check_condition2(fixture_problem("scalar"), config)
+    assert not outcome.holds
+    assert outcome.lmi.witness is None
+    assert 0.0 < outcome.lmi.min_eig < 1e9
+    assert "exists, but its certificate reaches min_eig" in outcome.reasons[0]
+    assert "no stabilizing right-inverse exists" not in outcome.reasons[0]
+
+
+def test_search_settings_are_accepted_and_ignored():
+    problem = fixture_problem("planar")
+    default = synthesize(problem).regulator
+    tuned = synthesize(
+        problem, SynthesisConfig(lmi_budget=5, lmi_starts=1, lmi_seed=9)
+    ).regulator
+    assert np.array_equal(default.K1, tuned.K1)
+    assert np.array_equal(default.K2, tuned.K2)
+
+
 def test_synthesis_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(try_order="fastest_first")
