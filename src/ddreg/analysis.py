@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import DimensionError, NonFiniteError
 
@@ -71,30 +70,16 @@ class SpectralInfo:
 def spectral_info(M, margin: float = 1e-9) -> SpectralInfo:
     """Classify the spectrum of a square matrix.
 
-    Eigenvalues come from the real Schur form: 1x1 diagonal blocks give
-    real eigenvalues, 2x2 blocks give complex pairs.  A matrix is stable
-    when its spectral radius is below 1 - margin and anti-stable when
-    every eigenvalue modulus is at least 1 - margin.
+    Eigenvalues come from LAPACK's general eigenvalue solver, which
+    returns real eigenvalues with zero imaginary part and complex ones as
+    exact conjugate pairs.  A matrix is stable when its spectral radius
+    is below 1 - margin and anti-stable when every eigenvalue modulus is
+    at least 1 - margin.
     """
     M = _square("M", M)
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return SpectralInfo(np.array([], dtype=complex), 0.0, True, True)
-    T, _ = scipy.linalg.schur(M, output="real")
-    eigs = []
-    i = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            a, b = T[i, i], T[i, i + 1]
-            c, d = T[i + 1, i], T[i + 1, i + 1]
-            mean = 0.5 * (a + d)
-            root = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-            eigs.extend([mean + root, mean - root])
-            i += 2
-        else:
-            eigs.append(complex(T[i, i]))
-            i += 1
-    eigenvalues = np.array(eigs)
+    eigenvalues = np.linalg.eigvals(M).astype(complex)
     moduli = np.abs(eigenvalues)
     radius = float(moduli.max())
     return SpectralInfo(

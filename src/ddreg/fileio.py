@@ -116,9 +116,19 @@ def _check_dims(doc: dict, origin: str, shapes: dict[str, int]) -> None:
     if not isinstance(dims, dict):
         raise ProblemFileError(f"{origin}: field 'dims' must be an object")
     for key, expected in shapes.items():
-        if key in dims and int(dims[key]) != expected:
+        if key not in dims:
+            continue
+        value = dims[key]
+        integral = isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer()
+        )
+        if isinstance(value, bool) or not integral:
             raise ProblemFileError(
-                f"{origin}: dims.{key} = {dims[key]} but the matrices imply {expected}"
+                f"{origin}: dims.{key} must be an integer, got {value!r}"
+            )
+        if int(value) != expected:
+            raise ProblemFileError(
+                f"{origin}: dims.{key} = {value} but the matrices imply {expected}"
             )
 
 

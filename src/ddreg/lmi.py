@@ -16,6 +16,12 @@ is stabilizable.  A Popov-Belevitch-Hautus rank test decides this
 exactly; when it passes, a discrete Riccati design gives F, and the
 Lyapunov solution P of the closed loop gives the certificate
 Theta = X^dagger P.
+
+Both equations are solved by one structure-preserving doubling
+iteration: Anderson's doubling for the discrete Riccati equation
+(Int. J. Control 28, 1978), which reduces to Smith's doubling for the
+Stein equation (SIAM J. Appl. Math. 16, 1968) when the input term is
+zero.  Each step takes one linear solve and a few matrix products.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import DimensionError, rank_from_singular_values
 
@@ -43,6 +48,12 @@ _UNIT_CIRCLE_TOL = 1e-9
 # the bundled test corpora uncontrollable modes sit below 3e-16 on this
 # scale and controllable ones above 7e-10.
 _PBH_RTOL = 1e-12
+# Doubling steps before giving up; each squares the convergence factor,
+# so a stable closed loop settles in far fewer.  The Riccati and Stein
+# iterations stop once a step changes H by less than these fractions.
+_DOUBLING_STEPS = 64
+_DARE_RTOL = 1e-14
+_STEIN_RTOL = 1e-16
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +208,42 @@ def _stuck_mode(Z, Xp, N) -> complex | None:
     return None
 
 
+def _doubling(A: np.ndarray, G: np.ndarray, rtol: float) -> np.ndarray:
+    """Limit of H in the structure-preserving doubling iteration from H = I.
+
+    Each step sets W = I + G H and maps H to H + A^T H W^-1 A, G to
+    G + A W^-1 G A^T and A to A W^-1 A.  With G = B B^T the limit is the
+    stabilizing solution of the unit-weight discrete Riccati equation
+    H = A^T H A - A^T H B (I + B^T H B)^-1 B^T H A + I; with G = 0 it is
+    the solution of the Stein equation H - A^T H A = I.  Raises
+    LinAlgError when an iterate is not finite or H has not settled within
+    _DOUBLING_STEPS steps.
+    """
+    n = A.shape[0]
+    H = np.eye(n)
+    # An unstable A overflows; that is reported below, not as a warning.
+    with np.errstate(all="ignore"):
+        for _ in range(_DOUBLING_STEPS):
+            WA, WG = np.hsplit(np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G])), 2)
+            step = A.T @ H @ WA
+            G = G + A @ WG @ A.T
+            A = A @ WA
+            H = H + step
+            size = np.linalg.norm(H)
+            if not np.isfinite(size):
+                break
+            if np.linalg.norm(step) <= rtol * size:
+                # Symmetric up to roundoff; X Theta = P must be symmetric.
+                return 0.5 * (H + H.T)
+    raise np.linalg.LinAlgError("doubling iteration did not converge")
+
+
 def _riccati_gain(A0: np.ndarray, B0: np.ndarray) -> np.ndarray:
     """F making A0 + B0 F stable: the LQR gain with unit weights."""
     n, m = B0.shape
     if m == 0:
         return np.zeros((0, n))
-    S = scipy.linalg.solve_discrete_are(A0, B0, np.eye(n), np.eye(m))
+    S = _doubling(A0, B0 @ B0.T, _DARE_RTOL)
     return -np.linalg.solve(B0.T @ S @ B0 + np.eye(m), B0.T @ S @ A0)
 
 
@@ -241,7 +282,7 @@ def solve_lmi(
         # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
         # block well conditioned even when A_cl is far from normal.
         gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
-        P = scipy.linalg.solve_discrete_lyapunov(A_cl / gamma, np.eye(problem.n))
+        P = _doubling((A_cl / gamma).T, np.zeros_like(A_cl), _STEIN_RTOL)
     except (np.linalg.LinAlgError, ValueError):
         return _not_found(0.0)
     Theta = X_dagger @ P

@@ -309,8 +309,8 @@ def compatible_set(problem: Problem, rtol: float = 1e-8) -> CompatibleSet:
     known = problem.known
     if known.A3 is None:
         raise ValueError(
-            "A3 is required to form the (A2, B2) family; "
-            "use compatible_set_unknown_a3 when the coupling is unknown"
+            "A3 is required to form the (A2, B2) family; treat the coupling "
+            "as unknown (compatible_set_unknown_a3, or --unknown-a3) without it"
         )
     data = problem.data
     G = np.vstack([data.X2_minus, data.U_minus])

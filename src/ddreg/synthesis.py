@@ -35,6 +35,8 @@ from .model import (
     Problem,
     Regulator,
     SynthesisReport,
+    compatible_set,
+    compatible_set_unknown_a3,
     rank_from_singular_values,
 )
 from .simulation import (
@@ -358,6 +360,9 @@ def _lmi_failure(lmi: LmiSolution, sought: str, config: SynthesisConfig) -> str:
 def _synthesize(
     problem: Problem, config: SynthesisConfig, unknown_a3: bool
 ) -> SynthesisResult:
+    # The conditions read only the data, so data that no system could
+    # have produced would pass them; raises InconsistentDataError.
+    (compatible_set_unknown_a3 if unknown_a3 else compatible_set)(problem)
     _require_anti_stable(problem.known)
     rank = _rank_x2_minus(problem)
     report = SynthesisReport(rank_X2_minus=rank)
@@ -400,7 +405,8 @@ def synthesize(
 ) -> SynthesisResult:
     """Decide informativity and synthesize gains, trying both routes.
 
-    Raises AntiStabilityError when the exosystem is not anti-stable.  On
+    Raises InconsistentDataError when no system matches the data and
+    AntiStabilityError when the exosystem is not anti-stable.  On
     success the regulator carries its witnesses; on failure the report
     explains which requirement broke in each branch.
     """

@@ -161,3 +161,25 @@ def coupling_free_instance(seed: int) -> Instance:
             V=U @ W,
         )
     raise RuntimeError(f"no coupling-free instance found for seed {seed}")
+
+
+def inconsistent_problem() -> Problem:
+    """Scalar data that no system could have produced.
+
+    U_minus equals X2_minus, so [A2 B2] [X2_minus; U_minus] can only be
+    a multiple of X2_minus, yet X2_plus is not one: the consistency
+    residual is about 3.07.
+    """
+    data = ProblemData(
+        U_minus=np.array([[1.0, 2.0, 0.5]]),
+        X1_minus=np.array([[1.0, 1.0, 1.0]]),
+        X2=np.array([[1.0, 2.0, 0.5, 3.0]]),
+    )
+    known = KnownMatrices(
+        A1=np.array([[1.0]]),
+        A3=np.array([[0.0]]),
+        D1=np.array([[1.0]]),
+        D2=np.array([[-1.0]]),
+        E=np.array([[0.0]]),
+    )
+    return build_problem(data, known)

@@ -191,8 +191,14 @@ def test_criterion_3_randomized_round_trip():
         instance, result = _synthesized(seed)
         if result.regulator is None:
             messages = " ".join(result.report.messages)
-            assert "LMI budget" in messages, (
-                f"seed {seed} failed without an LMI-budget diagnostic: {messages}"
+            diagnostics = (
+                "no stabilizing right-inverse",
+                "below the margin",
+                "regulator equations infeasible",
+            )
+            assert any(d in messages for d in diagnostics), (
+                f"seed {seed} failed without a right-inverse or "
+                f"regulator-equation diagnostic: {messages}"
             )
             budget_failures.append(seed)
             continue

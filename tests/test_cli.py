@@ -1,6 +1,10 @@
 """Exit codes, output files and flag handling of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from ddreg.cli import main
 from ddreg.examples import REFERENCE, fixture_text
 from ddreg.fileio import load_problem, load_regulator, save_problem, save_regulator
 
-from _instances import regulable_instance
+from _instances import inconsistent_problem, regulable_instance
 
 
 @pytest.fixture()
@@ -59,6 +63,12 @@ def test_check_prints_the_witness_of_a_not_informative_branch(tmp_path, capsys):
     assert "is a mode of the closed loop for every admissible right-inverse" in out
     assert "lmi: min_eig=" in out
     assert "margin=1.000e-06" in out
+
+
+def test_check_without_coupling_points_to_unknown_coupling_mode(tmp_path, capsys):
+    path = withheld_coupling_path(tmp_path, 6)
+    assert main(["check", str(path)]) == 1
+    assert "--unknown-a3" in capsys.readouterr().err
 
 
 def test_check_without_coupling_or_right_inverse_exits_two(tmp_path, capsys):
@@ -111,6 +121,39 @@ def test_synth_not_informative_writes_nothing(scalar_path, tmp_path, capsys):
     assert code == 2
     assert not out_path.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_inconsistent_data_exit_one(command, tmp_path, capsys):
+    path = tmp_path / "inconsistent.json"
+    save_problem(path, inconsistent_problem())
+    out_path = tmp_path / "regulator.json"
+    argv = [command, str(path)] + (["-o", str(out_path)] if command == "synth" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "no system matches the measured transitions" in captured.err
+    assert "informative" not in captured.out
+    assert not out_path.exists()
+
+
+def test_check_runs_without_importing_scipy(planar_path):
+    # A fresh interpreter, so that modules imported by the tests do not count.
+    script = (
+        "import sys\n"
+        "from ddreg.cli import main\n"
+        f"code = main(['check', {str(planar_path)!r}])\n"
+        "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(ddreg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert "via condition" in run.stdout
+    assert "scipy modules: []" in run.stdout
 
 
 def test_simulate_end_to_end(planar_path, tmp_path, capsys):

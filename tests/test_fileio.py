@@ -81,6 +81,13 @@ def test_parse_problem_rejects_wrong_declared_dims():
         parse_problem(text)
 
 
+@pytest.mark.parametrize("value", ['"three"', "true", "3.5", "null", "[3]", "Infinity"])
+def test_parse_problem_names_a_non_integer_dim(value):
+    text = fixture_text("scalar").replace('"tau": 3', f'"tau": {value}')
+    with pytest.raises(ProblemFileError, match=r"^<string>: dims.tau must be an integer"):
+        parse_problem(text)
+
+
 def test_parse_problem_rejects_unknown_config_key():
     text = fixture_text("scalar").replace(
         '"U_minus"', '"config": {"step_size": 2}, "U_minus"', 1

@@ -1,5 +1,7 @@
 """Feasibility search for the stabilizing right-inverse certificate."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from ddreg import (
     solve_lmi,
     spectral_info,
 )
-from ddreg.lmi import block_matrix
+from ddreg.lmi import _DARE_RTOL, _STEIN_RTOL, _doubling, block_matrix
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
 
@@ -82,6 +84,53 @@ def test_lyapunov_witness_passes_check():
     assert check.symmetry_residual < 1e-10
     assert check.min_eig > 0.0
     assert np.allclose(check.X_dagger, np.eye(3), atol=1e-9)
+
+
+# Agreement required with scipy's Schur-based solvers, which serve as the
+# reference; both sides are backward stable, so the gap is roundoff
+# amplified by the conditioning of these well-scaled draws.
+REFERENCE_RTOL = 1e-8
+
+
+def test_doubling_matches_the_reference_riccati_solution():
+    # A Gaussian B makes (A, B) controllable with probability one.
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n = int(rng.integers(1, 17))
+        m = int(rng.integers(1, n + 1))
+        A = rng.standard_normal((n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
+        B = rng.standard_normal((n, m))
+        expected = scipy.linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
+        S = _doubling(A, B @ B.T, _DARE_RTOL)
+        assert np.linalg.norm(S - expected) <= REFERENCE_RTOL * np.linalg.norm(expected)
+
+
+def test_doubling_matches_the_reference_stein_solution():
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        n = int(rng.integers(1, 17))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.05, 0.99) / np.abs(np.linalg.eigvals(A)).max()
+        expected = scipy.linalg.solve_discrete_lyapunov(A, np.eye(n))
+        P = _doubling(A.T, np.zeros((n, n)), _STEIN_RTOL)
+        assert np.linalg.norm(P - expected) <= REFERENCE_RTOL * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.array([[1.5]]),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.diag([1.0 + 1e-9, 0.5]),
+        np.diag([1e200, 0.5]),
+    ],
+    ids=["unstable", "rotation", "barely-unstable", "overflowing"],
+)
+def test_stein_doubling_rejects_a_matrix_that_is_not_stable(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _doubling(A.T, np.zeros_like(A), _STEIN_RTOL)
 
 
 def test_solver_certifies_stable_closed_loop():

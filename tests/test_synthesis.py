@@ -5,6 +5,7 @@ import pytest
 
 from ddreg import (
     AntiStabilityError,
+    InconsistentDataError,
     KnownMatrices,
     ProblemData,
     Regulator,
@@ -25,7 +26,7 @@ from ddreg import (
 from ddreg.examples import REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
 
-from _instances import coupling_free_instance, regulable_instance
+from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
 
 def fixture_problem(name):
@@ -133,6 +134,13 @@ def test_stable_exosystem_is_rejected():
     problem = build_problem(instance.problem.data, shrunk)
     with pytest.raises(AntiStabilityError):
         synthesize(problem)
+
+
+@pytest.mark.parametrize("synth", [synthesize, synthesize_unknown_a3])
+def test_data_no_system_could_have_produced_is_rejected(synth):
+    # check_condition2 reads only the data and holds on them in both modes.
+    with pytest.raises(InconsistentDataError, match="no system matches"):
+        synth(inconsistent_problem())
 
 
 def test_condition1_reports_image_inclusion_failure():
