@@ -30,7 +30,7 @@ from .fileio import (
     write_trajectories_csv,
     _atomic_write_text,
 )
-from .model import build_problem, compatible_set, compatible_set_unknown_a3
+from .model import build_problem, compatible_set
 from .simulation import (
     TrueSystem,
     closed_loop_sim,
@@ -38,7 +38,6 @@ from .simulation import (
     generate_data,
     horizon_for_radius,
     sample_members,
-    sample_members_unknown_a3,
 )
 from .synthesis import (
     synthesize,
@@ -128,14 +127,8 @@ def _run_synthesis(doc, args):
     return run(doc.problem, config)
 
 
-def _data_closed_loop_radius(problem, regulator, unknown_a3: bool) -> float:
-    if unknown_a3:
-        cset = compatible_set_unknown_a3(problem)
-    else:
-        cset = compatible_set(problem)
-    return spectral_info(
-        cset.A2_part + cset.B2_part @ regulator.K2
-    ).spectral_radius
+def _data_closed_loop_radius(family, regulator) -> float:
+    return spectral_info(family.A2_part + family.B2_part @ regulator.K2).spectral_radius
 
 
 def cmd_check(args) -> int:
@@ -154,7 +147,7 @@ def cmd_synth(args) -> int:
     if result.regulator is None:
         return 2
     regulator = result.regulator
-    radius = _data_closed_loop_radius(doc.problem, regulator, args.unknown_a3)
+    radius = _data_closed_loop_radius(result.family, regulator)
     print(f"K1 = {_fmt(regulator.K1)}")
     print(f"K2 = {_fmt(regulator.K2)}")
     print(f"closed-loop spectral radius: {radius:.6f}")
@@ -163,7 +156,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, family=None) -> int:
     doc = load_problem(args.problem)
     reg_doc = load_regulator(args.regulator)
     regulator = reg_doc.regulator
@@ -177,17 +170,12 @@ def cmd_simulate(args) -> int:
     known = problem.known
     seed = _resolve_seed(args.seed)
     print(f"seed: {seed}")
-    unknown_a3 = regulator.provenance.endswith("_unknown_a3") or known.A3 is None
-    if unknown_a3:
-        cset = compatible_set_unknown_a3(problem)
-        triples = sample_members_unknown_a3(cset, args.members, args.radius, seed)
-    else:
-        cset = compatible_set(problem)
-        pairs = sample_members(cset, args.members, args.radius, seed)
-        triples = [(A2, B2, known.A3) for A2, B2 in pairs]
-    rho_bound = spectral_info(
-        cset.A2_part + cset.B2_part @ regulator.K2
-    ).spectral_radius
+    if family is None:
+        if regulator.provenance.endswith("_unknown_a3"):
+            problem = problem.without_a3()
+        family = compatible_set(problem)
+    members = sample_members(family, args.members, args.radius, seed)
+    rho_bound = _data_closed_loop_radius(family, regulator)
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
     x1_0 = (
         _parse_vector(args.x1_0, "--x1-0") if args.x1_0 else np.ones(problem.n1)
@@ -197,7 +185,7 @@ def cmd_simulate(args) -> int:
     )
     blocks = []
     all_pass = True
-    for index, (A2, B2, A3) in enumerate(triples):
+    for index, (A2, B2, A3) in enumerate(members):
         system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
         trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
         result = decay_check(trajectory, rho_bound)
@@ -250,13 +238,12 @@ def cmd_example(args) -> int:
         computed["X_dagger"] = regulator.X2_dagger
     if regulator.W is not None:
         computed["W"] = regulator.W
-    cset = compatible_set(doc.problem)
-    closed_loop = cset.A2_part + cset.B2_part @ regulator.K2
-    computed["closed_loop"] = closed_loop
+    family = result.family
+    computed["closed_loop"] = family.A2_part + family.B2_part @ regulator.K2
     _print_reference_comparison(name, computed)
 
     verification = verify_regulator(
-        regulator, cset, doc.problem.known, samples=10, seed=seed
+        regulator, family, doc.problem.known, samples=10, seed=seed
     )
     print(
         f"verification over {verification.n_members} member(s): "
@@ -274,7 +261,7 @@ def cmd_example(args) -> int:
         seed=seed,
         radius=5.0,
     )
-    code = cmd_simulate(simulate_args)
+    code = cmd_simulate(simulate_args, family)
     if code != 0:
         return code
     return 0 if verification.passed else 2

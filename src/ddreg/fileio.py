@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ __all__ = [
     "merge_config",
 ]
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(SynthesisConfig)}
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SynthesisConfig)}
 _PROBLEM_MATRICES = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
 _WITNESS_FIELDS = ("W", "Theta", "X_dagger")
 
@@ -132,6 +133,27 @@ def _check_dims(doc: dict, origin: str, shapes: dict[str, int]) -> None:
             )
 
 
+def _check_config(overrides: dict, origin: str) -> None:
+    unknown = set(overrides) - _CONFIG_TYPES.keys()
+    if unknown:
+        raise ProblemFileError(
+            f"{origin}: unknown config keys {sorted(unknown)}; "
+            f"valid keys are {sorted(_CONFIG_TYPES)}"
+        )
+    for key, value in overrides.items():
+        if _CONFIG_TYPES[key] is str:
+            ok, kind = isinstance(value, str), "a string"
+        else:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            ok, kind = ok and math.isfinite(value), "a finite number"
+        if not ok:
+            raise ProblemFileError(f"{origin}: config.{key} must be {kind}, got {value!r}")
+    try:
+        SynthesisConfig(**overrides)
+    except ValueError as exc:  # its messages start with the field name
+        raise ProblemFileError(f"{origin}: config.{exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemDocument:
     """Parsed problem file with its raw-content hash."""
@@ -178,12 +200,7 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
     overrides = doc.get("config", {})
     if not isinstance(overrides, dict):
         raise ProblemFileError(f"{origin}: field 'config' must be an object")
-    unknown = set(overrides) - _CONFIG_KEYS
-    if unknown:
-        raise ProblemFileError(
-            f"{origin}: unknown config keys {sorted(unknown)}; "
-            f"valid keys are {sorted(_CONFIG_KEYS)}"
-        )
+    _check_config(overrides, origin)
     return ProblemDocument(
         problem=problem,
         config_overrides=dict(overrides),

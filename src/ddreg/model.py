@@ -12,7 +12,7 @@ result types shared by the synthesis layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,11 +25,9 @@ __all__ = [
     "Problem",
     "build_problem",
     "CompatibleSet",
-    "CompatibleSetUnknownA3",
     "compatible_set",
     "compatible_set_unknown_a3",
     "member_at",
-    "member_at_unknown_a3",
     "Regulator",
     "ConditionReport",
     "LmiReport",
@@ -212,6 +210,10 @@ class Problem:
     def p(self) -> int:
         return self.known.p
 
+    def without_a3(self) -> Problem:
+        """The same data and known matrices with the coupling A3 unknown."""
+        return Problem(data=self.data, known=replace(self.known, A3=None))
+
 
 def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
     """Cross-check data against known matrices and bind them.
@@ -235,32 +237,15 @@ def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
 
 @dataclass(frozen=True, eq=False)
 class CompatibleSet:
-    """Affine family of endosystems (A2, B2) matching the data.
+    """Affine family of endosystems (A2, B2, A3) matching the data.
 
-    Members are (A2_part + N @ S1.T, B2_part + N @ S2.T) for free N of
-    shape n2 x r, where [S1; S2] is an orthonormal basis of the kernel of
-    [X2_minus; U_minus] transposed.  r = 0 means the data identify the
-    endosystem uniquely.
+    Members are (A2_part + N @ S1.T, B2_part + N @ S2.T, A3_part + N @ S3.T)
+    for free N of shape n2 x r, where [S1; S2; S3] is an orthonormal basis
+    of the kernel of the stacked regressors [X2_minus; U_minus; X1_minus]
+    transposed.  With a known coupling the X1_minus block drops out, so
+    A3_part is the known A3 and S3 = 0.  r = 0 means the data identify
+    the endosystem uniquely.
     """
-
-    A2_part: np.ndarray
-    B2_part: np.ndarray
-    S1: np.ndarray
-    S2: np.ndarray
-    residual: float
-
-    @property
-    def r(self) -> int:
-        return self.S1.shape[1]
-
-    @property
-    def n2(self) -> int:
-        return self.A2_part.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class CompatibleSetUnknownA3:
-    """Affine family of triples (A2, B2, A3) when the coupling is unknown."""
 
     A2_part: np.ndarray
     B2_part: np.ndarray
@@ -279,85 +264,58 @@ class CompatibleSetUnknownA3:
         return self.A2_part.shape[0]
 
 
-def _affine_family(G: np.ndarray, Z: np.ndarray, rtol: float):
-    """Particular solution and kernel basis of M @ G = Z over M.
-
-    Returns (M_part, S, residual) with S an orthonormal basis of
-    ker(G.T).  Raises InconsistentDataError when the least-squares
-    residual exceeds rtol * (1 + ||Z||_F).
-    """
+def _compatible_set(problem: Problem, rtol: float) -> CompatibleSet:
+    data, known = problem.data, problem.known
+    n2, m = data.n2, data.m
+    if known.A3 is None:
+        G = np.vstack([data.X2_minus, data.U_minus, data.X1_minus])
+        Z, rhs = data.X2_plus, "||X2_plus||"
+    else:
+        G = np.vstack([data.X2_minus, data.U_minus])
+        Z, rhs = data.X2_plus - known.A3 @ data.X1_minus, "||X2_plus - A3 X1_minus||"
     sol, *_ = np.linalg.lstsq(G.T, Z.T, rcond=None)
-    M_part = sol.T
-    residual = float(np.linalg.norm(M_part @ G - Z))
+    M = sol.T
+    residual = float(np.linalg.norm(M @ G - Z))
     if residual > rtol * (1.0 + np.linalg.norm(Z)):
         raise InconsistentDataError(
             f"no system matches the measured transitions: residual {residual:.3e} "
-            f"exceeds {rtol:.1e} * (1 + ||X2_plus - A3 X1_minus||)"
+            f"exceeds {rtol:.1e} * (1 + {rhs})"
         )
     U, s, _ = np.linalg.svd(G)
-    rank = rank_from_singular_values(s, G.shape)
-    S = U[:, rank:]
-    return M_part, S, residual
+    S = U[:, rank_from_singular_values(s, G.shape) :]
+    if known.A3 is None:
+        A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
+    else:
+        A3_part, S3 = known.A3, np.zeros((data.n1, S.shape[1]))
+    return CompatibleSet(
+        A2_part=M[:, :n2],
+        B2_part=M[:, n2 : n2 + m],
+        A3_part=A3_part,
+        S1=S[:n2],
+        S2=S[n2 : n2 + m],
+        S3=S3,
+        residual=residual,
+    )
 
 
 def compatible_set(problem: Problem, rtol: float = 1e-8) -> CompatibleSet:
-    """Build the affine family of (A2, B2) compatible with the data.
+    """Build the affine family of systems compatible with the data.
 
-    Solves [A2 B2] [X2_minus; U_minus] = X2_plus - A3 X1_minus in the
-    least-squares sense and attaches the kernel parametrization.
+    Solves [A2 B2] [X2_minus; U_minus] = X2_plus - A3 X1_minus when A3
+    is known, and [A2 B2 A3] [X2_minus; U_minus; X1_minus] = X2_plus
+    when it is None, in the least-squares sense, and attaches the kernel
+    parametrization.  Raises InconsistentDataError when the residual
+    exceeds rtol * (1 + ||right-hand side||_F).
     """
-    known = problem.known
-    if known.A3 is None:
-        raise ValueError(
-            "A3 is required to form the (A2, B2) family; treat the coupling "
-            "as unknown (compatible_set_unknown_a3, or --unknown-a3) without it"
-        )
-    data = problem.data
-    G = np.vstack([data.X2_minus, data.U_minus])
-    Z = data.X2_plus - known.A3 @ data.X1_minus
-    M_part, S, residual = _affine_family(G, Z, rtol)
-    n2 = data.n2
-    return CompatibleSet(
-        A2_part=M_part[:, :n2],
-        B2_part=M_part[:, n2:],
-        S1=S[:n2],
-        S2=S[n2:],
-        residual=residual,
-    )
+    return _compatible_set(problem, rtol)
 
 
-def compatible_set_unknown_a3(
-    problem: Problem, rtol: float = 1e-8
-) -> CompatibleSetUnknownA3:
-    """Affine family of (A2, B2, A3) when the coupling matrix is unknown."""
-    data = problem.data
-    G = np.vstack([data.X2_minus, data.U_minus, data.X1_minus])
-    M_part, S, residual = _affine_family(G, data.X2_plus, rtol)
-    n2, m = data.n2, data.m
-    return CompatibleSetUnknownA3(
-        A2_part=M_part[:, :n2],
-        B2_part=M_part[:, n2 : n2 + m],
-        A3_part=M_part[:, n2 + m :],
-        S1=S[:n2],
-        S2=S[n2 : n2 + m],
-        S3=S[n2 + m :],
-        residual=residual,
-    )
+def compatible_set_unknown_a3(problem: Problem, rtol: float = 1e-8) -> CompatibleSet:
+    """The family of problem.without_a3(): any provided A3 is ignored."""
+    return _compatible_set(problem.without_a3(), rtol)
 
 
-def member_at(cset: CompatibleSet, N) -> tuple[np.ndarray, np.ndarray]:
-    """Member of the family at kernel coordinate N (shape n2 x r)."""
-    N = np.asarray(N, dtype=float)
-    if N.shape != (cset.n2, cset.r):
-        raise DimensionError(
-            f"N must have shape ({cset.n2}, {cset.r}), got {N.shape}"
-        )
-    return cset.A2_part + N @ cset.S1.T, cset.B2_part + N @ cset.S2.T
-
-
-def member_at_unknown_a3(
-    cset: CompatibleSetUnknownA3, N
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def member_at(cset: CompatibleSet, N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member triple (A2, B2, A3) at kernel coordinate N (shape n2 x r)."""
     N = np.asarray(N, dtype=float)
     if N.shape != (cset.n2, cset.r):
@@ -376,8 +334,9 @@ class Regulator:
     """Synthesized feedback u = K1 x1 + K2 x2 with its certificates.
 
     provenance names the branch that produced the gains ("condition1",
-    "condition2", or the same with "_unknown_a3" appended).  W, Theta and
-    X2_dagger are the witnesses of that branch when it produces them.
+    "condition2", or the same with "_unknown_a3" appended when A3 was
+    unknown).  W, Theta and X2_dagger are the witnesses of that branch
+    when it produces them.
     """
 
     K1: np.ndarray

@@ -16,13 +16,11 @@ import numpy as np
 
 from .model import (
     CompatibleSet,
-    CompatibleSetUnknownA3,
     DimensionError,
     KnownMatrices,
     ProblemData,
     Regulator,
     member_at,
-    member_at_unknown_a3,
 )
 
 __all__ = [
@@ -224,37 +222,31 @@ def decay_check(
     return DecayResult(passes=passes, fitted_rate=fitted_rate, terminal_norm=terminal)
 
 
-def sample_members(
-    cset: CompatibleSet, count: int, radius: float = 5.0, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw members of the family with uniform kernel coordinates.
-
-    With r = 0 the family is a single system and only the particular
-    solution is returned, regardless of count.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if cset.r == 0:
-        return [(cset.A2_part.copy(), cset.B2_part.copy())]
-    rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(count):
-        N = rng.uniform(-radius, radius, size=(cset.n2, cset.r))
-        members.append(member_at(cset, N))
-    return members
-
-
-def sample_members_unknown_a3(
-    cset: CompatibleSetUnknownA3, count: int, radius: float = 5.0, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Sample (A2, B2, A3) triples from the coupling-free family."""
+def _sample_members(cset: CompatibleSet, count: int, radius: float, seed: int):
     if count < 1:
         raise ValueError("count must be at least 1")
     if cset.r == 0:
         return [(cset.A2_part.copy(), cset.B2_part.copy(), cset.A3_part.copy())]
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(count):
-        N = rng.uniform(-radius, radius, size=(cset.n2, cset.r))
-        members.append(member_at_unknown_a3(cset, N))
-    return members
+    return [
+        member_at(cset, rng.uniform(-radius, radius, size=(cset.n2, cset.r)))
+        for _ in range(count)
+    ]
+
+
+def sample_members(
+    cset: CompatibleSet, count: int, radius: float = 5.0, seed: int = 0
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw (A2, B2, A3) members of the family with uniform kernel coordinates.
+
+    With r = 0 the family is a single system and only the particular
+    solution is returned, regardless of count.
+    """
+    return _sample_members(cset, count, radius, seed)
+
+
+def sample_members_unknown_a3(
+    cset: CompatibleSet, count: int, radius: float = 5.0, seed: int = 0
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Same draws as sample_members; kept for the unknown-coupling callers."""
+    return _sample_members(cset, count, radius, seed)

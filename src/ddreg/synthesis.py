@@ -8,9 +8,13 @@ right-inverse together with a solution W of the data-driven regulator
 equations, from which both gains follow.  Either route yields one gain
 pair that works for every member of the compatible family.
 
-The unknown-coupling variants impose X1_minus Theta = 0 so the certified
-closed loop X2_plus X^dagger does not depend on the coupling matrix, and
-they swap in coupling-free regulator equations.
+The coupling A3 is unknown exactly when problem.known.A3 is None; every
+function here reads the mode from the problem.  The compatible family
+then ranges over (A2, B2, A3) triples, the right-inverse must also
+satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
+does not depend on the coupling, and the regulator equations replace A3
+by X1_minus W = I.  synthesize requires A3; synthesize_unknown_a3 drops
+any provided A3 and runs the same path.
 """
 
 from __future__ import annotations
@@ -29,14 +33,12 @@ from .analysis import (
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
-    CompatibleSetUnknownA3,
     ConditionReport,
     KnownMatrices,
     Problem,
     Regulator,
     SynthesisReport,
     compatible_set,
-    compatible_set_unknown_a3,
     rank_from_singular_values,
 )
 from .simulation import (
@@ -45,7 +47,6 @@ from .simulation import (
     decay_check,
     horizon_for_radius,
     sample_members,
-    sample_members_unknown_a3,
 )
 
 __all__ = [
@@ -72,29 +73,19 @@ _TRY_ORDERS = ("condition2_first", "condition1_first")
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Tolerances and certificate settings for one synthesis run.
-
-    lmi_budget, lmi_starts and lmi_seed are still validated, so existing
-    problem files keep loading, but they have no effect: the
-    right-inverse condition is decided exactly.
-    """
+    """Tolerances and certificate settings for one synthesis run."""
 
     residual_tol: float = 1e-8
     try_order: str = "condition2_first"
     lmi_rho: float = 1e3
     lmi_margin: float = 1e-6
-    lmi_budget: int = 20000
-    lmi_starts: int = 5
-    lmi_seed: int = 0
-    verify_samples: int = 25
 
     def __post_init__(self):
         if self.try_order not in _TRY_ORDERS:
             raise ValueError(f"try_order must be one of {_TRY_ORDERS}")
-        if self.residual_tol <= 0 or self.lmi_rho <= 0 or self.lmi_margin <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.lmi_budget < 1 or self.lmi_starts < 1 or self.verify_samples < 1:
-            raise ValueError("budgets must be positive integers")
+        for name in ("residual_tol", "lmi_rho", "lmi_margin"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +112,11 @@ class ConditionOutcome:
 
 @dataclass(frozen=True, eq=False)
 class SynthesisResult:
-    """Regulator (None when not informative) plus the full report."""
+    """Regulator (None when not informative), report and compatible family."""
 
     regulator: Regulator | None
     report: SynthesisReport
+    family: CompatibleSet
 
 
 def _require_anti_stable(known: KnownMatrices) -> None:
@@ -146,28 +138,43 @@ def _output_map(problem: Problem) -> np.ndarray:
     return known.D2 @ data.X2_minus + known.E @ data.U_minus
 
 
-def _closed_loop_data(problem: Problem, unknown_a3: bool) -> np.ndarray:
+def _closed_loop_data(problem: Problem) -> np.ndarray:
     data, known = problem.data, problem.known
-    if unknown_a3:
-        return data.X2_plus
     if known.A3 is None:
-        raise ValueError("A3 is required unless running in unknown-coupling mode")
+        return data.X2_plus
     return data.X2_plus - known.A3 @ data.X1_minus
 
 
 def _lmi_for(
-    problem: Problem,
-    config: SynthesisConfig,
-    constraints: tuple[np.ndarray, ...],
-    unknown_a3: bool,
+    problem: Problem, config: SynthesisConfig, constraints: tuple[np.ndarray, ...]
 ) -> LmiProblem:
+    if problem.known.A3 is None:
+        constraints = constraints + (problem.data.X1_minus,)
     return LmiProblem(
         X=problem.data.X2_minus,
-        Z=_closed_loop_data(problem, unknown_a3),
+        Z=_closed_loop_data(problem),
         equality_constraints=constraints,
         rho=config.lmi_rho,
         margin=config.lmi_margin,
     )
+
+
+def _provenance(name: str, problem: Problem) -> str:
+    return name + ("_unknown_a3" if problem.known.A3 is None else "")
+
+
+def _w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    data, known = problem.data, problem.known
+    I1 = np.eye(problem.n1)
+    top = np.kron(known.A1.T, data.X2_minus) - np.kron(I1, _closed_loop_data(problem))
+    if known.A3 is None:
+        blocks = [top, np.kron(I1, data.X1_minus)]
+        first = [np.zeros(top.shape[0]), vec(I1)]
+    else:
+        blocks, first = [top], [vec(known.A3)]
+    lhs = np.vstack(blocks + [np.kron(I1, _output_map(problem))])
+    rhs = np.concatenate(first + [-vec(known.D1)])
+    return lhs, rhs
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -175,49 +182,26 @@ def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
 
     Rows encode X2_minus W A1 - (X2_plus - A3 X1_minus) W = A3 and
     D1 + (D2 X2_minus + E U_minus) W = 0 acting on vec(W), W of shape
-    tau x n1.
+    tau x n1.  When A3 is None the first block reads
+    X2_minus W A1 - X2_plus W = 0 and X1_minus W = I follows it.
     """
-    data, known = problem.data, problem.known
-    Zc = _closed_loop_data(problem, unknown_a3=False)
-    I1 = np.eye(problem.n1)
-    top = np.kron(known.A1.T, data.X2_minus) - np.kron(I1, Zc)
-    bottom = np.kron(I1, _output_map(problem))
-    lhs = np.vstack([top, bottom])
-    rhs = np.concatenate([vec(known.A3), -vec(known.D1)])
-    return lhs, rhs
+    return _w_system(problem)
 
 
 def w_system_unknown_a3(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling-free variant of the regulator-equation system.
-
-    Rows encode X2_minus W A1 - X2_plus W = 0, X1_minus W = I and
-    D1 + (D2 X2_minus + E U_minus) W = 0.
-    """
-    data, known = problem.data, problem.known
-    I1 = np.eye(problem.n1)
-    top = np.kron(known.A1.T, data.X2_minus) - np.kron(I1, data.X2_plus)
-    middle = np.kron(I1, data.X1_minus)
-    bottom = np.kron(I1, _output_map(problem))
-    lhs = np.vstack([top, middle, bottom])
-    rhs = np.concatenate(
-        [np.zeros(top.shape[0]), vec(I1), -vec(known.D1)]
-    )
-    return lhs, rhs
+    """The system of problem.without_a3(): any provided A3 is ignored."""
+    return _w_system(problem.without_a3())
 
 
-def w_residual(problem: Problem, W, unknown_a3: bool = False) -> float:
+def w_residual(problem: Problem, W) -> float:
     """Absolute residual of a candidate W in the stacked system."""
-    lhs, rhs = (
-        w_system_unknown_a3(problem) if unknown_a3 else w_system(problem)
-    )
+    lhs, rhs = w_system(problem)
     W = np.asarray(W, dtype=float)
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_w(problem: Problem, config: SynthesisConfig, unknown_a3: bool):
-    lhs, rhs = (
-        w_system_unknown_a3(problem) if unknown_a3 else w_system(problem)
-    )
+def _solve_w(problem: Problem, config: SynthesisConfig):
+    lhs, rhs = w_system(problem)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
     feasible = residual <= config.residual_tol * (1.0 + float(np.linalg.norm(rhs)))
@@ -235,7 +219,7 @@ def check_endo_stabilization(
     stabilizes every compatible member.
     """
     config = config or SynthesisConfig()
-    lmi = solve_lmi(_lmi_for(problem, config, (), unknown_a3=False))
+    lmi = solve_lmi(_lmi_for(problem, config, ()))
     return EndoStabilization(
         informative=lmi.found,
         K2=problem.data.U_minus @ lmi.X_dagger if lmi.found else None,
@@ -252,16 +236,14 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
 
 
 def check_condition1(
-    problem: Problem,
-    config: SynthesisConfig | None = None,
-    unknown_a3: bool = False,
+    problem: Problem, config: SynthesisConfig | None = None
 ) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
     The right-inverse is constrained so D2 + E K2 vanishes on the data
-    (and, in unknown-coupling mode, so the right-inverse annihilates
-    X1_minus).  The image-inclusion test runs first; when it already
-    fails the right-inverse is not decided.
+    (and, when A3 is None, so the right-inverse annihilates X1_minus).
+    The image-inclusion test runs first; when it already fails the
+    right-inverse is not decided.
     """
     config = config or SynthesisConfig()
     known, data = problem.known, problem.data
@@ -271,20 +253,16 @@ def check_condition1(
     if inclusion > config.residual_tol * (1.0 + float(np.linalg.norm(known.D1))):
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
-    constraints: tuple[np.ndarray, ...] = (_output_map(problem),)
-    if unknown_a3:
-        constraints = constraints + (data.X1_minus,)
-    lmi = solve_lmi(_lmi_for(problem, config, constraints, unknown_a3))
+    lmi = solve_lmi(_lmi_for(problem, config, (_output_map(problem),)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
         return _fails(lmi, diagnostics, _lmi_failure(lmi, sought, config))
     K2 = data.U_minus @ lmi.X_dagger
-    provenance = "condition1_unknown_a3" if unknown_a3 else "condition1"
     regulator = Regulator(
         K1=K1,
         K2=K2,
-        provenance=provenance,
+        provenance=_provenance("condition1", problem),
         Theta=lmi.Theta,
         X2_dagger=lmi.X_dagger,
     )
@@ -294,9 +272,7 @@ def check_condition1(
 
 
 def check_condition2(
-    problem: Problem,
-    config: SynthesisConfig | None = None,
-    unknown_a3: bool = False,
+    problem: Problem, config: SynthesisConfig | None = None
 ) -> ConditionOutcome:
     """Equation route: stabilizing right-inverse plus regulator equations.
 
@@ -305,9 +281,8 @@ def check_condition2(
     """
     config = config or SynthesisConfig()
     data = problem.data
-    constraints: tuple[np.ndarray, ...] = (data.X1_minus,) if unknown_a3 else ()
-    lmi = solve_lmi(_lmi_for(problem, config, constraints, unknown_a3))
-    W, residual, w_ok = _solve_w(problem, config, unknown_a3)
+    lmi = solve_lmi(_lmi_for(problem, config, ()))
+    W, residual, w_ok = _solve_w(problem, config)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -319,11 +294,10 @@ def check_condition2(
     X_dagger = lmi.X_dagger
     K2 = data.U_minus @ X_dagger
     K1 = data.U_minus @ (np.eye(problem.tau) - X_dagger @ data.X2_minus) @ W
-    provenance = "condition2_unknown_a3" if unknown_a3 else "condition2"
     regulator = Regulator(
         K1=K1,
         K2=K2,
-        provenance=provenance,
+        provenance=_provenance("condition2", problem),
         W=W,
         Theta=lmi.Theta,
         X2_dagger=X_dagger,
@@ -357,12 +331,10 @@ def _lmi_failure(lmi: LmiSolution, sought: str, config: SynthesisConfig) -> str:
     )
 
 
-def _synthesize(
-    problem: Problem, config: SynthesisConfig, unknown_a3: bool
-) -> SynthesisResult:
+def _synthesize(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
     # The conditions read only the data, so data that no system could
     # have produced would pass them; raises InconsistentDataError.
-    (compatible_set_unknown_a3 if unknown_a3 else compatible_set)(problem)
+    family = compatible_set(problem)
     _require_anti_stable(problem.known)
     rank = _rank_x2_minus(problem)
     report = SynthesisReport(rank_X2_minus=rank)
@@ -371,7 +343,7 @@ def _synthesize(
             f"X2_minus is rank-deficient (rank {rank} < n2 = {problem.n2}); "
             "the data cannot certify endo-stabilization"
         )
-        return SynthesisResult(regulator=None, report=report)
+        return SynthesisResult(regulator=None, report=report, family=family)
 
     order = (
         ("condition2", "condition1")
@@ -382,7 +354,7 @@ def _synthesize(
     slots = {"condition1": report.condition1, "condition2": report.condition2}
     outcomes: dict[str, ConditionOutcome] = {}
     for name in order:
-        outcome = checks[name](problem, config, unknown_a3)
+        outcome = checks[name](problem, config)
         outcomes[name] = outcome
         _fold_condition(slots[name], outcome)
         _fold_lmi(report, outcome.lmi, config)
@@ -390,14 +362,16 @@ def _synthesize(
             report.chosen_condition = name
             report.messages.append(
                 f"informative for regulator design via {name}"
-                + (" (unknown coupling)" if unknown_a3 else "")
+                + (" (unknown coupling)" if problem.known.A3 is None else "")
             )
-            return SynthesisResult(regulator=outcome.regulator, report=report)
+            return SynthesisResult(
+                regulator=outcome.regulator, report=report, family=family
+            )
 
     for name in order:
         report.messages.append(f"{name}: " + "; ".join(outcomes[name].reasons))
     report.messages.append("not informative for regulator design")
-    return SynthesisResult(regulator=None, report=report)
+    return SynthesisResult(regulator=None, report=report, family=family)
 
 
 def synthesize(
@@ -405,23 +379,24 @@ def synthesize(
 ) -> SynthesisResult:
     """Decide informativity and synthesize gains, trying both routes.
 
-    Raises InconsistentDataError when no system matches the data and
-    AntiStabilityError when the exosystem is not anti-stable.  On
-    success the regulator carries its witnesses; on failure the report
-    explains which requirement broke in each branch.
+    Raises ValueError when A3 is None, InconsistentDataError when no
+    system matches the data and AntiStabilityError when the exosystem is
+    not anti-stable.  On success the regulator carries its witnesses; on
+    failure the report explains which requirement broke in each branch.
     """
-    return _synthesize(problem, config or SynthesisConfig(), unknown_a3=False)
+    if problem.known.A3 is None:
+        raise ValueError(
+            "A3 is required to form the (A2, B2) family; treat the coupling "
+            "as unknown (synthesize_unknown_a3, or --unknown-a3) without it"
+        )
+    return _synthesize(problem, config or SynthesisConfig())
 
 
 def synthesize_unknown_a3(
     problem: Problem, config: SynthesisConfig | None = None
 ) -> SynthesisResult:
-    """Synthesis when the coupling matrix is unknown.
-
-    Any provided A3 is ignored; the compatible family then ranges over
-    (A2, B2, A3) triples and the certificates are coupling-free.
-    """
-    return _synthesize(problem, config or SynthesisConfig(), unknown_a3=True)
+    """Synthesis for problem.without_a3(): any provided A3 is ignored."""
+    return _synthesize(problem.without_a3(), config or SynthesisConfig())
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,22 +423,19 @@ class VerificationReport:
         return len(self.members)
 
 
-def _verify_members(
-    regulator: Regulator,
-    known: KnownMatrices,
-    members,
-    rho_bound: float,
-    seed: int,
-    check_decay: bool,
-) -> VerificationReport:
+def _verify_regulator(regulator, cset, known, samples, seed, radius, check_decay):
     K1, K2 = regulator.K1, regulator.K2
+    members = sample_members(cset, samples, radius=radius, seed=seed)
+    if cset.r > 0:
+        members = [(cset.A2_part, cset.B2_part, cset.A3_part)] + members
+    rho_bound = spectral_info(cset.A2_part + cset.B2_part @ K2).spectral_radius
     horizon = horizon_for_radius(rho_bound)
     rng = np.random.default_rng([seed, 987654321])
     results = []
     for index, (A2, B2, A3) in enumerate(members):
         A_cl = A2 + B2 @ K2
-        radius = spectral_info(A_cl).spectral_radius
-        endo_stable = radius < 1.0
+        cl_radius = spectral_info(A_cl).spectral_radius
+        endo_stable = cl_radius < 1.0
         regulated = False
         if endo_stable:
             regulated = check_output_regulated(
@@ -486,7 +458,7 @@ def _verify_members(
                 endo_stable=endo_stable,
                 output_regulated=regulated,
                 decay_passed=decay_passed,
-                closed_loop_radius=radius,
+                closed_loop_radius=cl_radius,
             )
         )
     passed = all(
@@ -507,36 +479,22 @@ def verify_regulator(
 ) -> VerificationReport:
     """Check a regulator against sampled members of the family.
 
-    Every member must be endo-stable under K2, output-regulated under
-    (K1, K2) and, redundantly, show empirical output decay at the
-    data-driven closed-loop rate.
+    Every member (A2, B2, A3) must be endo-stable under K2,
+    output-regulated under (K1, K2) and, redundantly, show empirical
+    output decay at the data-driven closed-loop rate.  The members come
+    from cset; known supplies A1 and the output matrices.
     """
-    if known.A3 is None:
-        raise ValueError("A3 is required; use verify_regulator_unknown_a3 instead")
-    pairs = sample_members(cset, samples, radius=radius, seed=seed)
-    if cset.r > 0:
-        pairs = [(cset.A2_part, cset.B2_part)] + pairs
-    members = [(A2, B2, known.A3) for A2, B2 in pairs]
-    rho_bound = spectral_info(
-        cset.A2_part + cset.B2_part @ regulator.K2
-    ).spectral_radius
-    return _verify_members(regulator, known, members, rho_bound, seed, check_decay)
+    return _verify_regulator(regulator, cset, known, samples, seed, radius, check_decay)
 
 
 def verify_regulator_unknown_a3(
     regulator: Regulator,
-    cset: CompatibleSetUnknownA3,
+    cset: CompatibleSet,
     known: KnownMatrices,
     samples: int = 10,
     seed: int = 0,
     radius: float = 5.0,
     check_decay: bool = True,
 ) -> VerificationReport:
-    """Sample-and-verify over the coupling-free family of triples."""
-    triples = sample_members_unknown_a3(cset, samples, radius=radius, seed=seed)
-    if cset.r > 0:
-        triples = [(cset.A2_part, cset.B2_part, cset.A3_part)] + triples
-    rho_bound = spectral_info(
-        cset.A2_part + cset.B2_part @ regulator.K2
-    ).spectral_radius
-    return _verify_members(regulator, known, triples, rho_bound, seed, check_decay)
+    """verify_regulator with 10 samples by default."""
+    return _verify_regulator(regulator, cset, known, samples, seed, radius, check_decay)

@@ -158,7 +158,7 @@ def test_criterion_2_planar_example_reproduction(tmp_path):
     verified = verify_regulator(regulator, cset, problem.known, samples=25).passed
     member_spread = max(
         float(np.abs(A2 + B2 @ regulator.K2 - ref["closed_loop"]).max())
-        for A2, B2 in sample_members(cset, 25, seed=0)
+        for A2, B2, _ in sample_members(cset, 25, seed=0)
     )
     elapsed = time.perf_counter() - t0
 

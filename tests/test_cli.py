@@ -15,7 +15,7 @@ from ddreg.cli import main
 from ddreg.examples import REFERENCE, fixture_text
 from ddreg.fileio import load_problem, load_regulator, save_problem, save_regulator
 
-from _instances import inconsistent_problem, regulable_instance
+from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
 
 @pytest.fixture()
@@ -121,6 +121,42 @@ def test_synth_not_informative_writes_nothing(scalar_path, tmp_path, capsys):
     assert code == 2
     assert not out_path.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", ['{"lmi_rho": "big"}', '{"lmi_margin": true}'])
+def test_bad_config_value_exits_one_naming_file_and_field(config, tmp_path, capsys):
+    path = tmp_path / "bad_config.json"
+    path.write_text(
+        fixture_text("scalar").replace('"U_minus"', f'"config": {config}, "U_minus"', 1)
+    )
+    assert main(["check", str(path)]) == 1
+    key = config.split('"')[1]
+    assert f"error: {path}: config.{key} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "planar", "-o", "regulator.json"],
+        ["synth", "coupling_free", "--unknown-a3", "-o", "regulator.json"],
+        ["example", "planar", "--outdir", "."],
+    ],
+)
+def test_each_command_builds_the_family_once(argv, tmp_path, monkeypatch, capsys):
+    save_problem(tmp_path / "coupling_free", coupling_free_instance(3).problem)
+    (tmp_path / "planar").write_text(fixture_text("planar"))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    build = ddreg.model._compatible_set
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ddreg.model, "_compatible_set", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])

@@ -96,6 +96,42 @@ def test_parse_problem_rejects_unknown_config_key():
         parse_problem(text)
 
 
+def with_config(config: str) -> str:
+    return fixture_text("scalar").replace('"U_minus"', f'"config": {config}, "U_minus"', 1)
+
+
+def test_parse_problem_rejects_a_removed_search_setting():
+    with pytest.raises(ProblemFileError, match=r"^<string>: unknown config keys \['lmi_budget'\]"):
+        parse_problem(with_config('{"lmi_budget": 5}'))
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("lmi_rho", '"big"', "a finite number"),
+        ("lmi_margin", "true", "a finite number"),
+        ("residual_tol", "null", "a finite number"),
+        ("lmi_rho", "[1]", "a finite number"),
+        ("lmi_rho", "Infinity", "a finite number"),
+        ("try_order", "2", "a string"),
+        ("lmi_margin", "-1", "positive"),
+        ("residual_tol", "0", "positive"),
+        ("try_order", '"fastest_first"', "one of"),
+    ],
+)
+def test_parse_problem_names_a_bad_config_value(key, value, expected):
+    with pytest.raises(ProblemFileError) as info:
+        parse_problem(with_config(f'{{"{key}": {value}}}'), origin="p.json")
+    message = str(info.value)
+    assert message.startswith(f"p.json: config.{key} must be ")
+    assert expected in message
+
+
+def test_parse_problem_keeps_valid_config_values():
+    doc = parse_problem(with_config('{"lmi_rho": 10, "try_order": "condition1_first"}'))
+    assert doc.config_overrides == {"lmi_rho": 10, "try_order": "condition1_first"}
+
+
 def test_parse_problem_rejects_missing_field():
     text = fixture_text("scalar").replace('"E"', '"E_renamed"', 1)
     with pytest.raises(ProblemFileError, match="E"):
@@ -103,14 +139,17 @@ def test_parse_problem_rejects_missing_field():
 
 
 def test_config_merge_precedence():
-    config = merge_config({"lmi_seed": 3, "residual_tol": 1e-6})
-    assert config.lmi_seed == 3
+    config = merge_config({"lmi_rho": 10.0, "residual_tol": 1e-6})
+    assert config.lmi_rho == 10.0
     assert config.residual_tol == 1e-6
-    overridden = merge_config({"lmi_seed": 3}, lmi_seed=5, try_order=None)
-    assert overridden.lmi_seed == 5
+    overridden = merge_config(
+        {"try_order": "condition1_first"}, try_order="condition2_first"
+    )
     assert overridden.try_order == "condition2_first"
+    kept = merge_config({"try_order": "condition1_first"}, try_order=None)
+    assert kept.try_order == "condition1_first"
     with pytest.raises(ProblemFileError):
-        merge_config({"lmi_budget": -1})
+        merge_config({"lmi_rho": -1.0})
 
 
 def test_regulator_round_trip_with_witnesses(tmp_path):

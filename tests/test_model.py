@@ -14,7 +14,6 @@ from ddreg import (
     compatible_set,
     compatible_set_unknown_a3,
     member_at,
-    member_at_unknown_a3,
 )
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
@@ -134,7 +133,7 @@ def test_members_match_the_data():
         Z = data.X2_plus - known.A3 @ data.X1_minus
         for _ in range(10):
             N = rng.uniform(-10.0, 10.0, (cset.n2, cset.r))
-            A2, B2 = member_at(cset, N)
+            A2, B2, _ = member_at(cset, N)
             residual = A2 @ data.X2_minus + B2 @ data.U_minus - Z
             assert np.linalg.norm(residual) < 1e-10 * (1.0 + np.linalg.norm(Z))
 
@@ -169,7 +168,7 @@ def test_unknown_coupling_family_contains_more_directions():
     rng = np.random.default_rng(5)
     for _ in range(10):
         N = rng.uniform(-5.0, 5.0, (cset3.n2, cset3.r))
-        A2, B2, A3 = member_at_unknown_a3(cset3, N)
+        A2, B2, A3 = member_at(cset3, N)
         residual = (
             A2 @ data.X2_minus + B2 @ data.U_minus + A3 @ data.X1_minus
             - data.X2_plus
@@ -177,18 +176,39 @@ def test_unknown_coupling_family_contains_more_directions():
         assert np.linalg.norm(residual) < 1e-10 * (1.0 + np.linalg.norm(data.X2_plus))
 
 
-def test_compatible_set_requires_coupling_matrix():
-    problem = scalar_problem()
-    known = KnownMatrices(
-        A1=problem.known.A1,
-        A3=None,
-        D1=problem.known.D1,
-        D2=problem.known.D2,
-        E=problem.known.E,
-    )
-    stripped = build_problem(problem.data, known)
-    with pytest.raises(ValueError, match="unknown"):
-        compatible_set(stripped)
+def test_known_coupling_family_has_a_fixed_coupling_block():
+    rng = np.random.default_rng(7)
+    for problem in [scalar_problem(), truncated_problem(2), truncated_problem(4)]:
+        data, known = problem.data, problem.known
+        cset = compatible_set(problem)
+        assert np.array_equal(cset.S3, np.zeros((problem.n1, cset.r)))
+        assert np.array_equal(cset.A3_part, known.A3)
+        for _ in range(5):
+            N = rng.uniform(-10.0, 10.0, (cset.n2, cset.r))
+            A2, B2, A3 = member_at(cset, N)
+            assert np.array_equal(A3, known.A3)
+            residual = (
+                A2 @ data.X2_minus + B2 @ data.U_minus + A3 @ data.X1_minus
+                - data.X2_plus
+            )
+            assert np.linalg.norm(residual) < 1e-10 * (
+                1.0 + np.linalg.norm(data.X2_plus)
+            )
+
+
+def test_stripping_a3_gives_the_unknown_coupling_family():
+    fields = ("A2_part", "B2_part", "A3_part", "S1", "S2", "S3")
+    for problem in [scalar_problem(), truncated_problem(3), regulable_instance(6).problem]:
+        known = problem.known
+        stripped = build_problem(
+            problem.data,
+            KnownMatrices(A1=known.A1, A3=None, D1=known.D1, D2=known.D2, E=known.E),
+        )
+        via_none = compatible_set(stripped)
+        via_wrapper = compatible_set_unknown_a3(problem)
+        for name in fields:
+            assert np.array_equal(getattr(via_none, name), getattr(via_wrapper, name)), name
+        assert via_none.residual == via_wrapper.residual
 
 
 def test_family_is_affine_in_the_coordinate():
@@ -198,9 +218,9 @@ def test_family_is_affine_in_the_coordinate():
     rng = np.random.default_rng(3)
     Na = rng.uniform(-1.0, 1.0, (cset.n2, cset.r))
     Nb = rng.uniform(-1.0, 1.0, (cset.n2, cset.r))
-    A2a, B2a = member_at(cset, Na)
-    A2b, B2b = member_at(cset, Nb)
-    A2m, B2m = member_at(cset, 0.5 * (Na + Nb))
+    A2a, B2a, _ = member_at(cset, Na)
+    A2b, B2b, _ = member_at(cset, Nb)
+    A2m, B2m, _ = member_at(cset, 0.5 * (Na + Nb))
     assert np.allclose(A2m, 0.5 * (A2a + A2b), atol=1e-12)
     assert np.allclose(B2m, 0.5 * (B2a + B2b), atol=1e-12)
 

@@ -190,7 +190,7 @@ def test_sampled_members_satisfy_the_data():
     Z = data.X2_plus - problem.known.A3 @ data.X1_minus
     members = sample_members(cset, 7, seed=1)
     assert len(members) == 7
-    for A2, B2 in members:
+    for A2, B2, _ in members:
         residual = A2 @ data.X2_minus + B2 @ data.U_minus - Z
         assert np.linalg.norm(residual) < 1e-9 * (1.0 + np.linalg.norm(Z))
     spread = max(

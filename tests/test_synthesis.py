@@ -1,5 +1,9 @@
 """End-to-end informativity decisions and gain synthesis."""
 
+import importlib
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +147,19 @@ def test_data_no_system_could_have_produced_is_rejected(synth):
         synth(inconsistent_problem())
 
 
+@pytest.mark.parametrize(
+    "synth, bound",
+    [
+        (synthesize, "(1 + ||X2_plus - A3 X1_minus||)"),
+        (synthesize_unknown_a3, "(1 + ||X2_plus||)"),
+    ],
+)
+def test_the_inconsistency_message_names_the_bound_it_used(synth, bound):
+    with pytest.raises(InconsistentDataError) as info:
+        synth(inconsistent_problem())
+    assert str(info.value).endswith(bound)
+
+
 def test_condition1_reports_image_inclusion_failure():
     problem = fixture_problem("scalar")
     outcome = check_condition1(problem)
@@ -273,18 +290,36 @@ def test_a_missed_margin_is_not_reported_as_infeasibility():
     assert "no stabilizing right-inverse exists" not in outcome.reasons[0]
 
 
-def test_search_settings_are_accepted_and_ignored():
-    problem = fixture_problem("planar")
-    default = synthesize(problem).regulator
-    tuned = synthesize(
-        problem, SynthesisConfig(lmi_budget=5, lmi_starts=1, lmi_seed=9)
-    ).regulator
-    assert np.array_equal(default.K1, tuned.K1)
-    assert np.array_equal(default.K2, tuned.K2)
-
-
 def test_synthesis_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(try_order="fastest_first")
     with pytest.raises(ValueError):
-        SynthesisConfig(lmi_budget=0)
+        SynthesisConfig(lmi_rho=0.0)
+
+
+def test_synthesize_requires_the_coupling_matrix():
+    problem = withheld_coupling(fixture_problem("scalar"))
+    with pytest.raises(ValueError, match="--unknown-a3"):
+        synthesize(problem)
+
+
+@pytest.mark.parametrize("unknown", [False, True])
+def test_the_result_carries_the_family_the_decision_used(unknown):
+    problem = coupling_free_instance(3).problem if unknown else fixture_problem("planar")
+    result = (synthesize_unknown_a3 if unknown else synthesize)(problem)
+    family = (compatible_set_unknown_a3 if unknown else compatible_set)(problem)
+    for name in ("A2_part", "B2_part", "A3_part", "S1", "S2", "S3"):
+        assert np.array_equal(getattr(result.family, name), getattr(family, name))
+
+
+def test_traced_names_are_distinct_functions():
+    # The benchmark wraps each of these by identity wherever ddreg binds
+    # it, so an alias would be wrapped twice.
+    root = Path(__file__).resolve().parents[1]
+    TARGETS = runpy.run_path(str(root / "perfbench" / "spans.py"))["TARGETS"]
+    functions = [
+        getattr(importlib.import_module(f"ddreg.{module}"), name)
+        for module, name in TARGETS
+    ]
+    assert all(callable(f) for f in functions)
+    assert len({id(f) for f in functions}) == len(TARGETS)
