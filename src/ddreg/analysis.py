@@ -101,16 +101,19 @@ def solve_sylvester(A1, A2, A3, rtol: float = 1e-9) -> np.ndarray:
     """Solve T A1 - A2 T = A3 for T.
 
     The equation is vectorized to (A1^T kron I - I kron A2) vec(T) =
-    vec(A3) and solved densely.  Raises SingularOperatorError when the
-    spectra of A1 and A2 intersect within tolerance, which makes the
-    operator singular.
+    vec(A3) and solved densely.  A3 may also be a stack of shape
+    (k, n2, n1): the k right-hand sides share one solve and T has the
+    same shape.  Raises SingularOperatorError when the spectra of A1 and
+    A2 intersect within tolerance, which makes the operator singular.
     """
     A1 = _square("A1", A1)
     A2 = _square("A2", A2)
     A3 = np.asarray(A3, dtype=float)
     n1, n2 = A1.shape[0], A2.shape[0]
-    if A3.shape != (n2, n1):
-        raise DimensionError(f"A3 must have shape ({n2}, {n1}), got {A3.shape}")
+    if A3.ndim not in (2, 3) or A3.shape[-2:] != (n2, n1):
+        raise DimensionError(
+            f"A3 must have shape ({n2}, {n1}) or (k, {n2}, {n1}), got {A3.shape}"
+        )
     L = sylvester_operator(A1, A2)
     s = np.linalg.svd(L, compute_uv=False)
     if s.size == 0 or s[-1] <= rtol * max(1.0, s[0]):
@@ -118,8 +121,10 @@ def solve_sylvester(A1, A2, A3, rtol: float = 1e-9) -> np.ndarray:
             "spectra of A1 and A2 intersect within tolerance; "
             "the Sylvester operator is singular"
         )
-    T = unvec(np.linalg.solve(L, vec(A3)), (n2, n1))
-    return T
+    # Column k of rhs is vec(A3[k]); row k of the solution is vec(T[k]).
+    rhs = A3.reshape(-1, n2, n1).swapaxes(1, 2).reshape(-1, n1 * n2)
+    T = np.linalg.solve(L, rhs.T).T.reshape(-1, n1, n2).swapaxes(1, 2)
+    return T.reshape(A3.shape)
 
 
 @dataclass(frozen=True, eq=False)

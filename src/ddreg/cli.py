@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: check (informativity verdict), synth (write a regulator
-file), simulate (closed-loop CSV over sampled members), example (run a
-bundled worked example end to end) and gen-data (collect a problem file
-from a true system).  Exit codes: 0 success or informative, 2 not
+file), simulate (verify a regulator file against the whole compatible
+family, then write a closed-loop CSV over sampled members), example (run
+a bundled worked example end to end) and gen-data (collect a problem
+file from a true system).  Exit codes: 0 success or informative, 2 not
 informative or a failed verification, 1 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,11 +41,7 @@ from .simulation import (
     horizon_for_radius,
     sample_members,
 )
-from .synthesis import (
-    synthesize,
-    synthesize_unknown_a3,
-    verify_regulator,
-)
+from .synthesis import synthesize, synthesize_unknown_a3, verify_regulator
 
 _ORDER_CHOICES = ("condition2-first", "condition1-first")
 
@@ -54,6 +52,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _finite_nonnegative(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _resolve_seed(value) -> int:
@@ -89,12 +104,15 @@ def _fmt(matrix) -> str:
     return str(np.asarray(matrix).tolist())
 
 
+def _residual_text(residuals) -> str:
+    return "".join(f"; {k}={v:.3e}" for k, v in sorted(residuals.items()))
+
+
 def _condition_line(name, slot) -> str:
     if not slot.attempted:
         return f"{name}: not attempted"
     verdict = "holds" if slot.holds else "fails"
-    residuals = "; ".join(f"{k}={v:.3e}" for k, v in sorted(slot.residuals.items()))
-    return f"{name}: {verdict}" + (f"; {residuals}" if residuals else "")
+    return f"{name}: {verdict}" + _residual_text(slot.residuals)
 
 
 def _print_report(doc, result, seed: int) -> None:
@@ -127,10 +145,6 @@ def _run_synthesis(doc, args):
     return run(doc.problem, config)
 
 
-def _data_closed_loop_radius(family, regulator) -> float:
-    return spectral_info(family.A2_part + family.B2_part @ regulator.K2).spectral_radius
-
-
 def cmd_check(args) -> int:
     doc = load_problem(args.problem)
     seed = _resolve_seed(args.seed)
@@ -147,7 +161,8 @@ def cmd_synth(args) -> int:
     if result.regulator is None:
         return 2
     regulator = result.regulator
-    radius = _data_closed_loop_radius(result.family, regulator)
+    family = result.family
+    radius = spectral_info(family.A2_part + family.B2_part @ regulator.K2).spectral_radius
     print(f"K1 = {_fmt(regulator.K1)}")
     print(f"K2 = {_fmt(regulator.K2)}")
     print(f"closed-loop spectral radius: {radius:.6f}")
@@ -174,8 +189,14 @@ def cmd_simulate(args, family=None) -> int:
         if regulator.provenance.endswith("_unknown_a3"):
             problem = problem.without_a3()
         family = compatible_set(problem)
+    verification = verify_regulator(regulator, family, known)
+    print(
+        f"verification over the whole family (r={family.r}): "
+        f"{'PASS' if verification.passed else 'FAIL'}"
+        + _residual_text(verification.residuals)
+    )
     members = sample_members(family, args.members, args.radius, seed)
-    rho_bound = _data_closed_loop_radius(family, regulator)
+    rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
     x1_0 = (
         _parse_vector(args.x1_0, "--x1-0") if args.x1_0 else np.ones(problem.n1)
@@ -184,14 +205,12 @@ def cmd_simulate(args, family=None) -> int:
         _parse_vector(args.x2_0, "--x2-0") if args.x2_0 else np.ones(problem.n2)
     )
     blocks = []
-    all_pass = True
     for index, (A2, B2, A3) in enumerate(members):
         system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
         trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
         result = decay_check(trajectory, rho_bound)
         radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
         verdict = "PASS" if result.passes else "FAIL"
-        all_pass = all_pass and result.passes
         print(
             f"member {index}: radius={radius:.6f} decay={verdict} "
             f"rate={result.fitted_rate:.4f} terminal={result.terminal_norm:.3e}"
@@ -199,7 +218,7 @@ def cmd_simulate(args, family=None) -> int:
         blocks.append((index, trajectory))
     write_trajectories_csv(args.out, blocks)
     print(f"wrote {args.out} ({len(blocks)} member blocks, horizon {horizon})")
-    return 0 if all_pass else 2
+    return 0 if verification.passed else 2
 
 
 def _print_reference_comparison(name: str, computed: dict) -> None:
@@ -242,14 +261,6 @@ def cmd_example(args) -> int:
     computed["closed_loop"] = family.A2_part + family.B2_part @ regulator.K2
     _print_reference_comparison(name, computed)
 
-    verification = verify_regulator(
-        regulator, family, doc.problem.known, samples=10, seed=seed
-    )
-    print(
-        f"verification over {verification.n_members} member(s): "
-        + ("PASS" if verification.passed else "FAIL")
-    )
-
     simulate_args = argparse.Namespace(
         problem=str(problem_path),
         regulator=str(regulator_path),
@@ -261,10 +272,7 @@ def cmd_example(args) -> int:
         seed=seed,
         radius=5.0,
     )
-    code = cmd_simulate(simulate_args, family)
-    if code != 0:
-        return code
-    return 0 if verification.passed else 2
+    return cmd_simulate(simulate_args, family)
 
 
 def cmd_gen_data(args) -> int:
@@ -325,15 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("-o", "--output", required=True, help="regulator file to write")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_sim = sub.add_parser("simulate", help="closed-loop simulation over sampled members")
+    p_sim = sub.add_parser(
+        "simulate", help="verify a regulator file, then simulate sampled members"
+    )
     p_sim.add_argument("problem", help="problem file (JSON)")
     p_sim.add_argument("regulator", help="regulator file (JSON)")
     p_sim.add_argument("--out", default="trajectories.csv", help="CSV output path")
-    p_sim.add_argument("--members", type=int, default=4, help="number of members to sample")
-    p_sim.add_argument("--horizon", type=int, default=None, help="steps to simulate (min 19)")
+    p_sim.add_argument("--members", type=_int_at_least(1), default=4, help="number of members to sample")
+    p_sim.add_argument("--horizon", type=_int_at_least(19), default=None, help="steps to simulate (min 19)")
     p_sim.add_argument("--x1-0", dest="x1_0", default=None, help="initial exosystem state, comma-separated")
     p_sim.add_argument("--x2-0", dest="x2_0", default=None, help="initial endosystem state, comma-separated")
-    p_sim.add_argument("--radius", type=float, default=5.0, help="kernel coordinate range for sampling")
+    p_sim.add_argument("--radius", type=_finite_nonnegative, default=5.0, help="kernel coordinate range for sampling")
     p_sim.add_argument("--seed", type=int, default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
     p_sim.set_defaults(func=cmd_simulate)
 

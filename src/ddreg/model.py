@@ -45,7 +45,11 @@ class NonFiniteError(ValueError):
 
 
 class InconsistentDataError(ValueError):
-    """No endosystem reproduces the measured transitions within tolerance."""
+    """No endosystem reproduces the measured transitions within tolerance.
+
+    Also raised when the samples are so large that the residual cannot be
+    computed in double precision: the check fails closed.
+    """
 
 
 def _as_matrix(name: str, value) -> np.ndarray:
@@ -273,10 +277,17 @@ def _compatible_set(problem: Problem, rtol: float) -> CompatibleSet:
     else:
         G = np.vstack([data.X2_minus, data.U_minus])
         Z, rhs = data.X2_plus - known.A3 @ data.X1_minus, "||X2_plus - A3 X1_minus||"
-    sol, *_ = np.linalg.lstsq(G.T, Z.T, rcond=None)
-    M = sol.T
-    residual = float(np.linalg.norm(M @ G - Z))
-    if residual > rtol * (1.0 + np.linalg.norm(Z)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol, *_ = np.linalg.lstsq(G.T, Z.T, rcond=None)
+        M = sol.T
+        residual = float(np.linalg.norm(M @ G - Z))
+        bound = rtol * (1.0 + float(np.linalg.norm(Z)))
+    if not np.isfinite(bound) or not np.isfinite(residual):
+        raise InconsistentDataError(
+            f"the consistency of the measured transitions cannot be checked: "
+            f"{rhs} or the residual overflows double precision; rescale the samples"
+        )
+    if residual > bound:
         raise InconsistentDataError(
             f"no system matches the measured transitions: residual {residual:.3e} "
             f"exceeds {rtol:.1e} * (1 + {rhs})"

@@ -216,7 +216,7 @@ def test_criterion_3_randomized_round_trip():
         ok,
         f"{successes}/{N_RANDOM_INSTANCES} synthesized (>= 95), "
         f"budget failures {budget_failures}, every returned regulator "
-        f"verified on 10 members, {elapsed:.1f}s < 60s",
+        f"verified on the whole compatible family, {elapsed:.1f}s < 60s",
     )
     assert ok, line
 
@@ -316,7 +316,7 @@ def test_criterion_6_unknown_coupling_variant():
         6,
         ok,
         f"family has {cset.r} free direction(s), regulator from "
-        f"{result.regulator.provenance} passed on all "
-        f"{report.n_members} sampled members",
+        f"{result.regulator.provenance} passed on the whole family "
+        f"({', '.join(f'{k} {v:.2e}' for k, v in report.residuals.items())})",
     )
     assert ok, line

@@ -97,6 +97,18 @@ def test_solve_sylvester_residual():
         )
 
 
+def test_solve_sylvester_solves_a_stack_slice_by_slice():
+    rng = np.random.default_rng(5)
+    A1 = exosystem(3, rng)
+    A2 = 0.3 * rng.standard_normal((2, 2))
+    stack = rng.standard_normal((4, 2, 3))
+    T = solve_sylvester(A1, A2, stack)
+    assert T.shape == stack.shape
+    for k in range(4):
+        assert np.allclose(T[k], solve_sylvester(A1, A2, stack[k]), atol=1e-13)
+    assert solve_sylvester(A1, A2, stack[:0]).shape == (0, 2, 3)
+
+
 def test_solve_sylvester_rejects_shared_spectra():
     with pytest.raises(SingularOperatorError):
         solve_sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))

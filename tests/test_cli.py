@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,13 @@ import ddreg
 from ddreg import KnownMatrices, build_problem
 from ddreg.cli import main
 from ddreg.examples import REFERENCE, fixture_text
-from ddreg.fileio import load_problem, load_regulator, save_problem, save_regulator
+from ddreg.fileio import (
+    load_problem,
+    load_regulator,
+    parse_problem,
+    save_problem,
+    save_regulator,
+)
 
 from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
@@ -209,6 +216,7 @@ def test_simulate_end_to_end(planar_path, tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
+    assert "verification over the whole family (r=1): PASS" in out
     assert "member 0:" in out
     assert "decay=PASS" in out
     lines = csv_path.read_text().strip().split("\n")
@@ -255,6 +263,79 @@ def test_simulate_flags_destabilizing_regulator(planar_path, tmp_path, capsys):
     )
     assert code == 2
     assert "decay=FAIL" in capsys.readouterr().out
+
+
+def test_simulate_rejects_a_regulator_that_fails_outside_the_sampled_members(tmp_path, capsys):
+    # With the output set to zero every simulated member decays, but the
+    # shifted K2 destabilizes members far out in the family.
+    planar = parse_problem(fixture_text("planar")).problem
+    known = planar.known
+    problem = build_problem(
+        planar.data,
+        KnownMatrices(
+            A1=known.A1,
+            A3=known.A3,
+            D1=np.zeros_like(known.D1),
+            D2=np.zeros_like(known.D2),
+            E=np.zeros_like(known.E),
+        ),
+    )
+    problem_path, reg_path = tmp_path / "silent.json", tmp_path / "regulator.json"
+    save_problem(problem_path, problem)
+    assert main(["synth", str(problem_path), "-o", str(reg_path)]) == 0
+    regulator = load_regulator(reg_path).regulator
+    shifted = ddreg.Regulator(
+        K1=regulator.K1, K2=regulator.K2 + 0.01, provenance=regulator.provenance
+    )
+    save_regulator(reg_path, shifted)
+    capsys.readouterr()
+    argv = ["simulate", str(problem_path), str(reg_path), "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "verification over the whole family (r=1): FAIL" in out
+    assert "decay=FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--radius", "nan"),
+        ("--radius", "inf"),
+        ("--radius", "-1"),
+        ("--horizon", "5"),
+        ("--members", "0"),
+    ],
+)
+def test_bad_simulate_flags_exit_one_naming_the_flag(flag, value, planar_path, tmp_path, capsys):
+    reg_path = tmp_path / "regulator.json"
+    assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "t.csv"
+    argv = ["simulate", str(planar_path), str(reg_path), "--out", str(out_path), flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_overflowing_samples_exit_one_without_a_warning(scale, tmp_path, capsys):
+    data = inconsistent_problem().data
+    problem = build_problem(
+        ddreg.ProblemData(
+            U_minus=scale * data.U_minus, X1_minus=scale * data.X1_minus, X2=scale * data.X2
+        ),
+        inconsistent_problem().known,
+    )
+    path = tmp_path / "overflowing.json"
+    save_problem(path, problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "consistency of the measured transitions cannot be checked" in captured.err
+    assert "informative" not in captured.out
 
 
 def test_example_commands_run_end_to_end(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Data containers, validation and the compatible family."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from ddreg import (
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
 
-from _instances import regulable_instance
+from _instances import inconsistent_problem, regulable_instance
 
 
 def scalar_problem():
@@ -154,6 +156,25 @@ def test_inconsistent_data_raises():
     bad = build_problem(data, problem.known)
     with pytest.raises(InconsistentDataError):
         compatible_set(bad)
+
+
+@pytest.mark.parametrize("build", [compatible_set, compatible_set_unknown_a3])
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_overflowing_samples_fail_the_consistency_check(build, scale):
+    # ||X2_plus|| overflows to inf here, which would make any residual
+    # look small next to the bound.
+    problem = inconsistent_problem()
+    data = problem.data
+    scaled = build_problem(
+        ProblemData(
+            U_minus=scale * data.U_minus, X1_minus=scale * data.X1_minus, X2=scale * data.X2
+        ),
+        problem.known,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentDataError, match="cannot be checked"):
+            build(scaled)
 
 
 def test_unknown_coupling_family_contains_more_directions():

@@ -6,7 +6,8 @@ family of the transformed data, so the verdict stays and the gains map as
 K1 -> R K1, K2 -> R K2 S^T.  Scaling every data matrix by c > 0 scales
 each trajectory of a linear system, so the verdict stays; the gains may
 move, because the Riccati design weighs the right-inverse with a unit
-weight that does not scale with the data.
+weight that does not scale with the data.  Every regulator synthesized
+along the way must pass verification over its whole compatible family.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from ddreg import (
     build_problem,
     synthesize,
     synthesize_unknown_a3,
+    verify_regulator,
 )
 
 from _instances import coupling_free_instance, regulable_instance
@@ -49,8 +51,13 @@ def _problem(kind, mode, index):
 
 
 def _synthesize(problem, order):
+    """Synthesize, and check that a returned regulator passes verification."""
     run = synthesize_unknown_a3 if problem.known.A3 is None else synthesize
-    return run(problem, SynthesisConfig(try_order=order))
+    result = run(problem, SynthesisConfig(try_order=order))
+    if result.regulator is not None:
+        report = verify_regulator(result.regulator, result.family, problem.known)
+        assert report.passed, report.residuals
+    return result
 
 
 def _orthogonal(rng, n):
