@@ -21,6 +21,7 @@ __all__ = [
     "spectral_info",
     "vec",
     "unvec",
+    "kron",
     "solve_sylvester",
     "RegulationCheck",
     "check_output_regulated",
@@ -46,6 +47,16 @@ def vec(M: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of vec for the given matrix shape."""
     return np.asarray(v).reshape(shape, order="F")
+
+
+def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-d arrays, equal to np.kron entry for entry.
+
+    Forms the same products a_ij b_kl with one broadcast multiply and
+    skips np.kron's general n-d bookkeeping.
+    """
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _square(name: str, M) -> np.ndarray:
@@ -94,7 +105,7 @@ def sylvester_operator(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """Matrix of T -> T A1 - A2 T acting on vec(T)."""
     n1 = A1.shape[0]
     n2 = A2.shape[0]
-    return np.kron(A1.T, np.eye(n2)) - np.kron(np.eye(n1), A2)
+    return kron(A1.T, np.eye(n2)) - kron(np.eye(n1), A2)
 
 
 def solve_sylvester(A1, A2, A3, rtol: float = 1e-9) -> np.ndarray:
@@ -191,8 +202,8 @@ def solve_classical_regulator(
     E = np.asarray(E, dtype=float)
     n1, n2, m = A1.shape[0], A2.shape[0], B2.shape[1]
     I1 = np.eye(n1)
-    top = np.hstack([sylvester_operator(A1, A2), -np.kron(I1, B2)])
-    bottom = np.hstack([np.kron(I1, D2), np.kron(I1, E)])
+    top = np.hstack([sylvester_operator(A1, A2), -kron(I1, B2)])
+    bottom = np.hstack([kron(I1, D2), kron(I1, E)])
     lhs = np.vstack([top, bottom])
     rhs = np.concatenate([vec(A3), -vec(D1)])
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)

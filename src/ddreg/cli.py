@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,15 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
         )
 
 
+@contextmanager
+def _naming(origin: str):
+    """Prefix a data error raised in the block with its problem file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ProblemFileError(f"{origin}: {exc}") from None
+
+
 def _fmt(matrix) -> str:
     return str(np.asarray(matrix).tolist())
 
@@ -142,7 +152,8 @@ def _run_synthesis(doc, args):
         try_order=args.order.replace("-", "_") if args.order else None,
     )
     run = synthesize_unknown_a3 if args.unknown_a3 else synthesize
-    return run(doc.problem, config)
+    with _naming(doc.origin):
+        return run(doc.problem, config)
 
 
 def cmd_check(args) -> int:
@@ -184,12 +195,15 @@ def cmd_simulate(args, family=None) -> int:
     problem = doc.problem
     known = problem.known
     seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
-    if family is None:
-        if regulator.provenance.endswith("_unknown_a3"):
-            problem = problem.without_a3()
-        family = compatible_set(problem)
-    verification = verify_regulator(regulator, family, known)
+    with _naming(doc.origin):
+        # cmd_example passes the family of its synthesis, whose report
+        # has already echoed the seed.
+        if family is None:
+            print(f"seed: {seed}")
+            if regulator.provenance.endswith("_unknown_a3"):
+                problem = problem.without_a3()
+            family = compatible_set(problem)
+        verification = verify_regulator(regulator, family, known)
     print(
         f"verification over the whole family (r={family.r}): "
         f"{'PASS' if verification.passed else 'FAIL'}"

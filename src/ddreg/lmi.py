@@ -21,7 +21,8 @@ Both equations are solved by one structure-preserving doubling
 iteration: Anderson's doubling for the discrete Riccati equation
 (Int. J. Control 28, 1978), which reduces to Smith's doubling for the
 Stein equation (SIAM J. Appl. Math. 16, 1968) when the input term is
-zero.  Each step takes one linear solve and a few matrix products.
+zero.  A Riccati step takes one linear solve and a few matrix products;
+a Stein step needs no solve, only two products and a squaring of A.
 """
 
 from __future__ import annotations
@@ -161,7 +162,12 @@ def block_matrix(X, Z, Theta) -> np.ndarray:
     """Assemble the 2n x 2n feasibility block for a candidate Theta."""
     P = X @ Theta
     Q = Z @ Theta
-    return np.block([[P, Q], [Q.T, P]])
+    n = P.shape[0]
+    B = np.empty((2 * n, 2 * n), dtype=np.result_type(P, Q))
+    B[:n, :n] = B[n:, n:] = P
+    B[:n, n:] = Q
+    B[n:, :n] = Q.T
+    return B
 
 
 def _block_min_eig(X, Z, Theta) -> float:
@@ -191,7 +197,7 @@ def _right_inverses(problem: LmiProblem) -> tuple[np.ndarray, np.ndarray] | None
 
 
 def _stuck_mode(Z, Xp, N) -> complex | None:
-    """An eigenvalue |lambda| >= 1 of Z Xp that no Z N F moves (PBH test).
+    """The first eigenvalue |lambda| >= 1 of Z Xp that no Z N F moves (PBH test).
 
     Z N is scaled by |Xp| into the units of Z Xp.  |Z| |Xp| bounds both,
     so their roundoff is about eps times that, which sets the cutoff.
@@ -200,33 +206,45 @@ def _stuck_mode(Z, Xp, N) -> complex | None:
     xp_norm = np.linalg.norm(Xp, 2)
     A0, B0 = Z @ Xp, xp_norm * (Z @ N)
     cutoff = _PBH_RTOL * max(1.0, np.linalg.norm(Z, 2) * xp_norm)
-    for lam in np.linalg.eigvals(A0):
-        if abs(lam) >= 1.0 - _UNIT_CIRCLE_TOL:
-            s = np.linalg.svd(np.hstack([A0 - lam * np.eye(n), B0]), compute_uv=False)
-            if s[n - 1] <= cutoff:
-                return complex(lam)
-    return None
+    eigenvalues = np.linalg.eigvals(A0)
+    candidates = eigenvalues[np.abs(eigenvalues) >= 1.0 - _UNIT_CIRCLE_TOL]
+    if candidates.size == 0:
+        return None
+    # One batched SVD of [A0 - lambda I, B0] per candidate, in the
+    # eigenvalues' dtype: real spectra stay real.
+    pencils = np.empty((candidates.size, n, n + B0.shape[1]), dtype=candidates.dtype)
+    pencils[:, :, :n] = A0 - candidates[:, None, None] * np.eye(n)
+    pencils[:, :, n:] = B0
+    s = np.linalg.svd(pencils, compute_uv=False)
+    stuck = np.flatnonzero(s[:, n - 1] <= cutoff)
+    return complex(candidates[stuck[0]]) if stuck.size else None
 
 
-def _doubling(A: np.ndarray, G: np.ndarray, rtol: float) -> np.ndarray:
+def _doubling(A: np.ndarray, G: np.ndarray | None, rtol: float) -> np.ndarray:
     """Limit of H in the structure-preserving doubling iteration from H = I.
 
     Each step sets W = I + G H and maps H to H + A^T H W^-1 A, G to
     G + A W^-1 G A^T and A to A W^-1 A.  With G = B B^T the limit is the
     stabilizing solution of the unit-weight discrete Riccati equation
-    H = A^T H A - A^T H B (I + B^T H B)^-1 B^T H A + I; with G = 0 it is
-    the solution of the Stein equation H - A^T H A = I.  Raises
-    LinAlgError when an iterate is not finite or H has not settled within
-    _DOUBLING_STEPS steps.
+    H = A^T H A - A^T H B (I + B^T H B)^-1 B^T H A + I.  G = None stands
+    for G = 0, where the limit solves the Stein equation H - A^T H A = I:
+    then W = I and G stays 0, so a step needs no solve (Smith's squaring
+    H + A^T H A, A^2).  Raises LinAlgError when an iterate is not finite
+    or H has not settled within _DOUBLING_STEPS steps.
     """
     n = A.shape[0]
-    H = np.eye(n)
+    I = np.eye(n)
+    H = I
     # An unstable A overflows; that is reported below, not as a warning.
     with np.errstate(all="ignore"):
         for _ in range(_DOUBLING_STEPS):
-            WA, WG = np.hsplit(np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G])), 2)
+            if G is None:
+                WA = A
+            else:
+                WAG = np.linalg.solve(I + G @ H, np.concatenate((A, G), axis=1))
+                WA, WG = WAG[:, :n], WAG[:, n:]
+                G = G + A @ WG @ A.T
             step = A.T @ H @ WA
-            G = G + A @ WG @ A.T
             A = A @ WA
             H = H + step
             size = np.linalg.norm(H)
@@ -282,7 +300,7 @@ def solve_lmi(
         # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
         # block well conditioned even when A_cl is far from normal.
         gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
-        P = _doubling((A_cl / gamma).T, np.zeros_like(A_cl), _STEIN_RTOL)
+        P = _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
     except (np.linalg.LinAlgError, ValueError):
         return _not_found(0.0)
     Theta = X_dagger @ P

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AntiStabilityError, solve_sylvester, spectral_info, unvec, vec
+from .analysis import AntiStabilityError, kron, solve_sylvester, spectral_info, unvec, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -154,13 +154,13 @@ def _provenance(name: str, problem: Problem) -> str:
 def _w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     data, known = problem.data, problem.known
     I1 = np.eye(problem.n1)
-    top = np.kron(known.A1.T, data.X2_minus) - np.kron(I1, _closed_loop_data(problem))
+    top = kron(known.A1.T, data.X2_minus) - kron(I1, _closed_loop_data(problem))
     if known.A3 is None:
-        blocks = [top, np.kron(I1, data.X1_minus)]
+        blocks = [top, kron(I1, data.X1_minus)]
         first = [np.zeros(top.shape[0]), vec(I1)]
     else:
         blocks, first = [top], [vec(known.A3)]
-    lhs = np.vstack(blocks + [np.kron(I1, _output_map(problem))])
+    lhs = np.vstack(blocks + [kron(I1, _output_map(problem))])
     rhs = np.concatenate(first + [-vec(known.D1)])
     return lhs, rhs
 

@@ -14,7 +14,7 @@ from ddreg import (
     solve_sylvester,
     spectral_info,
 )
-from ddreg.analysis import sylvester_operator, unvec, vec
+from ddreg.analysis import kron, sylvester_operator, unvec, vec
 from ddreg.examples import REFERENCE
 
 from _instances import exosystem, regulable_instance
@@ -70,6 +70,20 @@ def test_spectral_info_classifies_exosystems():
         assert info.is_anti_stable
         assert not info.is_stable
         assert abs(info.spectral_radius - 1.0) < 1e-9
+
+
+def test_kron_equals_numpy_kron():
+    rng = np.random.default_rng(7)
+    shapes = [(0, 0), (0, 3), (2, 0), (1, 1)] + [
+        tuple(int(d) for d in rng.integers(0, 6, size=2)) for _ in range(30)
+    ]
+    for a_shape, b_shape in zip(shapes, shapes[::-1]):
+        A = rng.standard_normal(a_shape)
+        B = rng.standard_normal(b_shape)
+        for left, right in ((A, B), (A.T, B), (A, np.eye(b_shape[0]))):
+            product = kron(left, right)
+            assert product.shape == np.kron(left, right).shape
+            assert np.array_equal(product, np.kron(left, right))
 
 
 def test_sylvester_operator_matches_action():

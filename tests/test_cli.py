@@ -179,6 +179,50 @@ def test_inconsistent_data_exit_one(command, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def _scalar_fixture_with(**changes):
+    doc = json.loads(fixture_text("scalar"))
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+_SCALAR_X2 = json.loads(fixture_text("scalar"))["X2"]
+DATA_ERRORS = {
+    "inconsistent": _scalar_fixture_with(X2=[_SCALAR_X2[0][:3] + [9.5]]),
+    "overflowing": _scalar_fixture_with(X2=[[1e300 * x for x in _SCALAR_X2[0]]]),
+    "stable-A1": _scalar_fixture_with(A1=(0.5 * np.eye(3)).tolist()),
+    "missing-A3": _scalar_fixture_with(A3=None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for case in DATA_ERRORS
+        for command in ("check", "synth", "simulate")
+        # Without A3, simulate verifies against the unknown-coupling family.
+        if not (command == "simulate" and case == "missing-A3")
+    ],
+)
+def test_data_errors_name_the_problem_file(command, case, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(DATA_ERRORS[case]))
+    reg_path = tmp_path / "regulator.json"
+    save_regulator(
+        reg_path,
+        ddreg.Regulator(K1=np.zeros((1, 3)), K2=np.zeros((1, 1)), provenance="condition2"),
+    )
+    argv = {
+        "check": ["check", str(path)],
+        "synth": ["synth", str(path), "-o", str(tmp_path / "out.json")],
+        "simulate": ["simulate", str(path), str(reg_path), "--out", str(tmp_path / "t.csv")],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.out == ("seed: 0\n" if command == "simulate" else "")
+
+
 def test_check_runs_without_importing_scipy(planar_path):
     # A fresh interpreter, so that modules imported by the tests do not count.
     script = (
@@ -348,6 +392,12 @@ def test_example_commands_run_end_to_end(tmp_path, capsys):
         assert (outdir / f"{name}_problem.json").exists()
         assert (outdir / f"{name}_regulator.json").exists()
         assert (outdir / f"{name}_trajectories.csv").exists()
+
+
+def test_example_prints_the_seed_once(tmp_path, capsys):
+    assert main(["example", "planar", "--outdir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("seed:")] == ["seed: 0"]
 
 
 def test_gen_data_reproduces_the_bundled_fixture(scalar_path, tmp_path, capsys):

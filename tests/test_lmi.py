@@ -13,9 +13,11 @@ from ddreg import (
     solve_lmi,
     spectral_info,
 )
-from ddreg.lmi import _DARE_RTOL, _STEIN_RTOL, _doubling, block_matrix
+from ddreg.lmi import _DARE_RTOL, _STEIN_RTOL, _doubling, _stuck_mode, block_matrix
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
+
+from _pbh_reference import stuck_mode_reference
 
 
 def scalar_instance():
@@ -112,7 +114,7 @@ def test_doubling_matches_the_reference_stein_solution():
         A = rng.standard_normal((n, n))
         A *= rng.uniform(0.05, 0.99) / np.abs(np.linalg.eigvals(A)).max()
         expected = scipy.linalg.solve_discrete_lyapunov(A, np.eye(n))
-        P = _doubling(A.T, np.zeros((n, n)), _STEIN_RTOL)
+        P = _doubling(A.T, None, _STEIN_RTOL)
         assert np.linalg.norm(P - expected) <= REFERENCE_RTOL * np.linalg.norm(expected)
 
 
@@ -130,7 +132,21 @@ def test_stein_doubling_rejects_a_matrix_that_is_not_stable(A):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
-            _doubling(A.T, np.zeros_like(A), _STEIN_RTOL)
+            _doubling(A.T, None, _STEIN_RTOL)
+
+
+@pytest.mark.parametrize("moved, expected", [(0, 3.0), (1, 2.0), (None, 2.0)])
+def test_pbh_returns_the_first_stuck_one_of_two_unstable_modes(moved, expected):
+    # Z X^dagger = diag(2, 3) + Z N F, and Z N reaches only the mode moved.
+    X = np.eye(2, 3)
+    Z = np.diag([2.0, 3.0]) @ X
+    if moved is not None:
+        Z[moved, 2] = 1.0
+    Xp, N = X.T, np.eye(3)[:, 2:]
+    assert _stuck_mode(Z, Xp, N) == stuck_mode_reference(Z, Xp, N) == expected
+    solution = solve_lmi(LmiProblem(X=X, Z=Z))
+    assert not solution.found
+    assert solution.witness.eigenvalue == expected
 
 
 def test_solver_certifies_stable_closed_loop():

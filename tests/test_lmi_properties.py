@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddreg import LmiProblem, check_theta, solve_lmi, spectral_info
+from ddreg.lmi import _right_inverses, _stuck_mode
+
+from _pbh_reference import stuck_mode_reference
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None
@@ -95,6 +98,15 @@ def test_a_witnessed_mode_survives_every_admissible_right_inverse(problem, seed)
         F = 3.0 * rng.standard_normal((N.shape[1], problem.n))
         eigenvalues = np.linalg.eigvals(problem.Z @ (Xp + N @ F))
         assert np.abs(eigenvalues - lam).min() <= 1e-6 * (1.0 + abs(lam))
+
+
+@PROPERTY_SETTINGS
+@given(lmi_problems())
+def test_the_batched_pbh_test_returns_the_mode_of_the_per_eigenvalue_loop(problem):
+    family = _right_inverses(problem)
+    assert family is not None  # the generated constraints always admit X^dagger
+    Xp, N = family
+    assert _stuck_mode(problem.Z, Xp, N) == stuck_mode_reference(problem.Z, Xp, N)
 
 
 @PROPERTY_SETTINGS
