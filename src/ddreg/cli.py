@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: check (informativity verdict), synth (write a regulator
-file), simulate (verify a regulator file against the whole compatible
-family, then write a closed-loop CSV over sampled members), example (run
-a bundled worked example end to end) and gen-data (collect a problem
-file from a true system).  Exit codes: 0 success or informative, 2 not
-informative or a failed verification, 1 usage or input errors.
+Subcommands: check (informativity verdict), synth (verify the gains
+against the whole compatible family, then write a regulator file),
+simulate (verify a regulator file the same way, then write a
+closed-loop CSV over sampled members), example (run a bundled worked
+example end to end) and gen-data (collect a problem file from a true
+system).  Exit codes: 0 success or informative, 2 not informative or a
+failed verification, 1 usage or input errors.
 """
 
 from __future__ import annotations
@@ -125,6 +126,14 @@ def _condition_line(name, slot) -> str:
     return f"{name}: {verdict}" + _residual_text(slot.residuals)
 
 
+def _print_verification(family, verification) -> None:
+    print(
+        f"verification over the whole family (r={family.r}): "
+        f"{'PASS' if verification.passed else 'FAIL'}"
+        + _residual_text(verification.residuals)
+    )
+
+
 def _print_report(doc, result, seed: int) -> None:
     problem = doc.problem
     print(
@@ -172,11 +181,14 @@ def cmd_synth(args) -> int:
     if result.regulator is None:
         return 2
     regulator = result.regulator
-    family = result.family
-    radius = spectral_info(family.A2_part + family.B2_part @ regulator.K2).spectral_radius
+    verification = verify_regulator(regulator, result.family, doc.problem.known)
     print(f"K1 = {_fmt(regulator.K1)}")
     print(f"K2 = {_fmt(regulator.K2)}")
-    print(f"closed-loop spectral radius: {radius:.6f}")
+    print(f"closed-loop spectral radius: {verification.rho_bound:.6f}")
+    _print_verification(result.family, verification)
+    if not verification.passed:
+        print(f"not writing {args.output}: the regulator fails verification")
+        return 2
     save_regulator(args.output, regulator, problem_sha256=doc.sha256)
     print(f"wrote {args.output}")
     return 0
@@ -204,11 +216,7 @@ def cmd_simulate(args, family=None) -> int:
                 problem = problem.without_a3()
             family = compatible_set(problem)
         verification = verify_regulator(regulator, family, known)
-    print(
-        f"verification over the whole family (r={family.r}): "
-        f"{'PASS' if verification.passed else 'FAIL'}"
-        + _residual_text(verification.residuals)
-    )
+    _print_verification(family, verification)
     members = sample_members(family, args.members, args.radius, seed)
     rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)

@@ -196,7 +196,8 @@ def decay_check(
     is below terminal_tol * (1 + ||z(0)||).  The trajectory must hold at
     least 20 samples so the tail fit has support.
     """
-    norms = np.linalg.norm(trajectory.z, axis=0)
+    with np.errstate(over="ignore"):  # a diverged member's norm is inf
+        norms = np.linalg.norm(trajectory.z, axis=0)
     n_steps = norms.shape[0]
     if n_steps < 20:
         raise DimensionError(

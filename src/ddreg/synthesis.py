@@ -5,7 +5,9 @@ Two routes can certify a problem informative.  The pointwise route
 endosystem-and-input part of the output, plus an exosystem gain solving
 E K1 = -D1.  The equation route (condition 2) needs any stabilizing
 right-inverse together with a solution W of the data-driven regulator
-equations, from which both gains follow.  Either route yields one gain
+equations.  They are solved on the compatible family, for [T; V] =
+[X2_minus; U_minus] W, so the solve does not inherit the conditioning
+of the samples; K1 = V - K2 T.  Either route yields one gain
 pair that works for every member of the compatible family, and
 verify_regulator checks any gain pair against the whole family in
 closed form.
@@ -22,10 +24,11 @@ any provided A3 and runs the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .analysis import AntiStabilityError, kron, solve_sylvester, spectral_info, unvec, vec
+from .analysis import AntiStabilityError, assemble_gains, kron, solve_sylvester, spectral_info, unvec, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -121,11 +124,6 @@ def _rank_x2_minus(problem: Problem) -> int:
     return rank_from_singular_values(s, X.shape)
 
 
-def _output_map(problem: Problem) -> np.ndarray:
-    known, data = problem.known, problem.data
-    return known.D2 @ data.X2_minus + known.E @ data.U_minus
-
-
 def _closed_loop_data(problem: Problem) -> np.ndarray:
     data, known = problem.data, problem.known
     if known.A3 is None:
@@ -151,18 +149,22 @@ def _provenance(name: str, problem: Problem) -> str:
     return name + ("_unknown_a3" if problem.known.A3 is None else "")
 
 
-def _w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    data, known = problem.data, problem.known
-    I1 = np.eye(problem.n1)
-    top = kron(known.A1.T, data.X2_minus) - kron(I1, _closed_loop_data(problem))
+def _w_system(known: KnownMatrices, X2, U, X1, Z) -> tuple[np.ndarray, np.ndarray]:
+    I1 = np.eye(known.n1)
+    top = kron(known.A1.T, X2) - kron(I1, Z)
     if known.A3 is None:
-        blocks = [top, kron(I1, data.X1_minus)]
+        blocks = [top, kron(I1, X1)]
         first = [np.zeros(top.shape[0]), vec(I1)]
     else:
         blocks, first = [top], [vec(known.A3)]
-    lhs = np.vstack(blocks + [kron(I1, _output_map(problem))])
+    lhs = np.vstack(blocks + [kron(I1, known.D2 @ X2 + known.E @ U)])
     rhs = np.concatenate(first + [-vec(known.D1)])
     return lhs, rhs
+
+
+def _data_w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    data, Z = problem.data, _closed_loop_data(problem)
+    return _w_system(problem.known, data.X2_minus, data.U_minus, data.X1_minus, Z)
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -173,12 +175,12 @@ def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     tau x n1.  When A3 is None the first block reads
     X2_minus W A1 - X2_plus W = 0 and X1_minus W = I follows it.
     """
-    return _w_system(problem)
+    return _data_w_system(problem)
 
 
 def w_system_unknown_a3(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """The system of problem.without_a3(): any provided A3 is ignored."""
-    return _w_system(problem.without_a3())
+    return _data_w_system(problem.without_a3())
 
 
 def w_residual(problem: Problem, W) -> float:
@@ -188,13 +190,19 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_w(problem: Problem, config: SynthesisConfig):
-    lhs, rhs = w_system(problem)
+def _solve_w(problem: Problem, family: CompatibleSet, config: SynthesisConfig):
+    # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
+    # the data equations become those of the family's particular member.
+    known, n2, m = problem.known, problem.n2, problem.m
+    k = 3 if known.A3 is None else 2
+    S = np.vstack([family.S1, family.S2, family.S3][:k])
+    M = np.hstack([family.A2_part, family.B2_part, family.A3_part][:k])
+    P = np.eye(S.shape[0]) - S @ S.T
+    lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
     feasible = residual <= config.residual_tol * (1.0 + float(np.linalg.norm(rhs)))
-    W = unvec(sol, (problem.tau, problem.n1))
-    return W, residual, feasible
+    return P @ unvec(sol, (S.shape[0], problem.n1)), residual, feasible
 
 
 def check_endo_stabilization(
@@ -241,7 +249,8 @@ def check_condition1(
     if inclusion > config.residual_tol * (1.0 + float(np.linalg.norm(known.D1))):
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
-    lmi = solve_lmi(_lmi_for(problem, config, (_output_map(problem),)))
+    output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
+    lmi = solve_lmi(_lmi_for(problem, config, (output_map,)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
@@ -260,17 +269,20 @@ def check_condition1(
 
 
 def check_condition2(
-    problem: Problem, config: SynthesisConfig | None = None
+    problem: Problem, config: SynthesisConfig | None = None, family: CompatibleSet | None = None
 ) -> ConditionOutcome:
     """Equation route: stabilizing right-inverse plus regulator equations.
 
-    Both gains follow from the witnesses: K2 = U_minus X^dagger and
-    K1 = U_minus (I - X^dagger X2_minus) W.
+    The regulator equations of the compatible family (built when family
+    is None) are solved for [T; V (; I)] = G W in the image of
+    G = [X2_minus; U_minus (; X1_minus)]; K2 = U_minus X^dagger,
+    K1 = V - K2 T, and W is reconstructed as the witness.
     """
     config = config or SynthesisConfig()
     data = problem.data
+    family = family or compatible_set(problem)
     lmi = solve_lmi(_lmi_for(problem, config, ()))
-    W, residual, w_ok = _solve_w(problem, config)
+    Y, residual, w_ok = _solve_w(problem, family, config)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -279,16 +291,17 @@ def check_condition2(
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    X_dagger = lmi.X_dagger
-    K2 = data.U_minus @ X_dagger
-    K1 = data.U_minus @ (np.eye(problem.tau) - X_dagger @ data.X2_minus) @ W
+    G = np.vstack([data.X2_minus, data.U_minus, data.X1_minus])[: len(Y)]
+    W, *_ = np.linalg.lstsq(G, Y, rcond=None)
+    n2, m = problem.n2, problem.m
+    K2 = data.U_minus @ lmi.X_dagger
     regulator = Regulator(
-        K1=K1,
+        K1=assemble_gains(Y[:n2], Y[n2 : n2 + m], K2),
         K2=K2,
         provenance=_provenance("condition2", problem),
         W=W,
         Theta=lmi.Theta,
-        X2_dagger=X_dagger,
+        X2_dagger=lmi.X_dagger,
     )
     return ConditionOutcome(
         holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics
@@ -338,7 +351,7 @@ def _synthesize(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
         if config.try_order == "condition2_first"
         else ("condition1", "condition2")
     )
-    checks = {"condition1": check_condition1, "condition2": check_condition2}
+    checks = {"condition1": check_condition1, "condition2": partial(check_condition2, family=family)}
     slots = {"condition1": report.condition1, "condition2": report.condition2}
     outcomes: dict[str, ConditionOutcome] = {}
     for name in order:

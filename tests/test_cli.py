@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -120,6 +121,32 @@ def test_synth_writes_regulator_file(planar_path, tmp_path, capsys):
     assert doc.problem_sha256 == load_problem(planar_path).sha256
 
 
+def test_synth_prints_the_verification_simulate_prints(planar_path, tmp_path, capsys):
+    out_path = tmp_path / "regulator.json"
+    assert main(["synth", str(planar_path), "-o", str(out_path)]) == 0
+    synth_lines = capsys.readouterr().out.splitlines()
+    assert "closed-loop spectral radius: 0.707107" in synth_lines
+    main(["simulate", str(planar_path), str(out_path), "--out", str(tmp_path / "t.csv")])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("verification"))
+    assert line.startswith("verification over the whole family (r=1): PASS")
+    assert line in synth_lines
+
+
+def test_synth_writes_nothing_when_verification_fails(planar_path, tmp_path, monkeypatch, capsys):
+    def failing(regulator, cset, known):
+        return ddreg.synthesis.VerificationReport(
+            passed=False, rho_bound=0.5, residuals={"output_offset": 1.0}
+        )
+
+    monkeypatch.setattr(ddreg.cli, "verify_regulator", failing)
+    out_path = tmp_path / "regulator.json"
+    assert main(["synth", str(planar_path), "-o", str(out_path)]) == 2
+    assert not out_path.exists()
+    out = capsys.readouterr().out
+    assert "closed-loop spectral radius: 0.500000" in out
+    assert "verification over the whole family (r=1): FAIL; output_offset=1.000e+00" in out
+
+
 def test_synth_not_informative_writes_nothing(scalar_path, tmp_path, capsys):
     out_path = tmp_path / "regulator.json"
     code = main(
@@ -221,6 +248,45 @@ def test_data_errors_name_the_problem_file(command, case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: ")
     assert captured.out == ("seed: 0\n" if command == "simulate" else "")
+
+
+_MATRIX_FIELDS = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
+
+
+def _with_first_entry(value, entry):
+    rows = [list(row) for row in value]
+    rows[0][0] = entry
+    return rows
+
+
+_MALFORMED = {
+    "string": lambda value: "[[1, 2]]",
+    "number": lambda value: 1.5,
+    "flat list": lambda value: [entry for row in value for entry in row],
+    "empty": lambda value: [],
+    "empty row": lambda value: [[]],
+    "ragged": lambda value: value + [value[0][:-1]],
+    "bool": lambda value: True,
+    "null entry": lambda value: _with_first_entry(value, None),
+    "3-d": lambda value: [value],
+    "NaN": lambda value: _with_first_entry(value, float("nan")),
+    "Infinity": lambda value: _with_first_entry(value, float("inf")),
+    "object": lambda value: {"rows": value},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("field", _MATRIX_FIELDS)
+def test_a_malformed_matrix_field_exits_one_naming_file_and_field(field, case, tmp_path, capsys):
+    doc = json.loads(fixture_text("planar"))
+    doc[field] = _MALFORMED[case](doc[field])
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert re.search(rf"\b{field}\b", err), err
+    assert "Traceback" not in err
 
 
 def test_check_runs_without_importing_scipy(planar_path):
@@ -338,6 +404,29 @@ def test_simulate_rejects_a_regulator_that_fails_outside_the_sampled_members(tmp
     out = capsys.readouterr().out
     assert "verification over the whole family (r=1): FAIL" in out
     assert "decay=FAIL" not in out
+
+
+def test_simulate_reports_a_diverged_member_without_a_warning(tmp_path, capsys):
+    # Without A3 the scalar data are not informative; a zero regulator
+    # leaves some sampled members unstable, and one overflows.
+    doc = json.loads(fixture_text("scalar"))
+    doc["A3"] = None
+    problem_path, reg_path = tmp_path / "scalar.json", tmp_path / "zero.json"
+    problem_path.write_text(json.dumps(doc))
+    problem = load_problem(problem_path).problem
+    zero = ddreg.Regulator(
+        K1=np.zeros((problem.m, problem.n1)),
+        K2=np.zeros((problem.m, problem.n2)),
+        provenance="condition2_unknown_a3",
+    )
+    save_regulator(reg_path, zero)
+    argv = ["simulate", str(problem_path), str(reg_path), "--out", str(tmp_path / "t.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "decay=FAIL rate=0.0000 terminal=inf" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Data collection, closed-loop runs and the decay check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ def test_decay_check_rejects_a_slow_mode_beside_an_oscillating_one():
     result = decay_check(output_trajectory(z), rho_bound=0.54)
     assert not result.passes
     assert result.fitted_rate > 0.6
+
+
+def test_decay_check_fails_a_diverged_output_without_a_warning():
+    z = 10.0 ** (5 * np.arange(40.0))  # squares overflow from 1e155 on
+    z[-5:] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = decay_check(output_trajectory(np.vstack([z, z])), rho_bound=0.5)
+    assert not result.passes
+    assert result.terminal_norm == np.inf
 
 
 def test_sampled_members_satisfy_the_data():

@@ -26,6 +26,7 @@ from ddreg import (
     verify_regulator,
     verify_regulator_unknown_a3,
     w_residual,
+    w_system,
 )
 from ddreg.examples import REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
@@ -93,6 +94,46 @@ def test_regulable_instances_synthesize_and_verify():
             result.regulator, cset, instance.problem.known, samples=5
         )
         assert report.passed
+
+
+def _ladder_problems(n2):
+    root = Path(__file__).resolve().parents[1]
+    gen = runpy.run_path(str(root / "perfbench" / "instances.py"))
+    return [
+        (inst.name, gen["to_problem"](inst))
+        for inst in gen["ladder_set"]()
+        if inst.X2.shape[0] == n2
+    ]
+
+
+def test_ill_conditioned_ladder_problems_are_regulated_via_condition2():
+    # cond(X2_minus) is 8.5e6-6.2e7 here.  The regulator equations are
+    # solved on the compatible family, whose conditioning does not
+    # depend on how the samples are scaled.
+    problems = _ladder_problems(16)
+    assert len(problems) == 3
+    for name, problem in problems:
+        result = synthesize(problem)
+        assert result.report.chosen_condition == "condition2", (name, result.report.messages)
+        report = verify_regulator(result.regulator, result.family, problem.known)
+        assert report.passed, (name, report.residuals)
+
+
+def test_the_reconstructed_w_is_a_witness_of_the_data_equations():
+    cases = [(regulable_instance(seed).problem, synthesize) for seed in range(100)]
+    cases += [(coupling_free_instance(seed).problem, synthesize_unknown_a3) for seed in range(20)]
+    checked = 0
+    for problem, run in cases:
+        regulator = run(problem).regulator
+        if regulator is None or regulator.W is None:
+            continue
+        if run is synthesize_unknown_a3:
+            problem = problem.without_a3()
+        _, rhs = w_system(problem)
+        bound = 1e-8 * (1.0 + float(np.linalg.norm(rhs)))
+        assert w_residual(problem, regulator.W) <= bound, regulator.provenance
+        checked += 1
+    assert checked >= 50
 
 
 def test_closed_loop_is_shared_across_members():
