@@ -28,7 +28,6 @@ from .fileio import (
     load_problem,
     load_regulator,
     load_system,
-    merge_config,
     save_problem,
     save_regulator,
     write_trajectories_csv,
@@ -44,9 +43,6 @@ from .simulation import (
     sample_members,
 )
 from .synthesis import synthesize, synthesize_unknown_a3, verify_regulator
-
-_ORDER_CHOICES = ("condition2-first", "condition1-first")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -76,30 +72,38 @@ def _finite_nonnegative(text: str) -> float:
 def _resolve_seed(value) -> int:
     if value is not None:
         return value
-    env = os.environ.get("DDREG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ProblemFileError(f"DDREG_SEED must be an integer, got {env!r}")
-    return 0
-
-
-def _parse_vector(text: str, name: str) -> np.ndarray:
+    env = os.environ.get("DDREG_SEED", "0")
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        return _int_at_least(0)(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ProblemFileError(f"DDREG_SEED must be an integer >= 0, got {env!r}") from None
+
+
+def _finite(values: np.ndarray, text: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"must hold finite numbers, got {text!r}")
+    return values
+
+
+def _vector(text: str) -> np.ndarray:
+    try:
+        values = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
-        raise ProblemFileError(f"{name} must be comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
+    return _finite(values, text)
 
 
-def _parse_matrix(text: str, name: str) -> np.ndarray:
+def _matrix(text: str) -> np.ndarray:
     try:
         rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
-        return np.array(rows, dtype=float)
+        values = np.array(rows, dtype=float)
     except ValueError:
-        raise ProblemFileError(
-            f"{name} must be rows of comma-separated numbers joined by ';', got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(
+            f"must be rows of comma-separated numbers joined by ';', got {text!r}"
+        ) from None
+    return _finite(values, text)
 
 
 @contextmanager
@@ -134,14 +138,13 @@ def _print_verification(family, verification) -> None:
     )
 
 
-def _print_report(doc, result, seed: int) -> None:
+def _print_report(doc, result) -> None:
     problem = doc.problem
     print(
         f"problem: {doc.origin} "
         f"(n1={problem.n1}, n2={problem.n2}, m={problem.m}, "
         f"p={problem.p}, tau={problem.tau})"
     )
-    print(f"seed: {seed}")
     report = result.report
     print(f"rank(X2_minus): {report.rank_X2_minus} of {problem.n2}")
     print(_condition_line("condition2", report.condition2))
@@ -155,29 +158,23 @@ def _print_report(doc, result, seed: int) -> None:
         print(message)
 
 
-def _run_synthesis(doc, args):
-    config = merge_config(
-        doc.config_overrides,
-        try_order=args.order.replace("-", "_") if args.order else None,
-    )
-    run = synthesize_unknown_a3 if args.unknown_a3 else synthesize
+def _run_synthesis(doc, unknown_a3: bool):
+    run = synthesize_unknown_a3 if unknown_a3 else synthesize
     with _naming(doc.origin):
-        return run(doc.problem, config)
+        return run(doc.problem)
 
 
 def cmd_check(args) -> int:
     doc = load_problem(args.problem)
-    seed = _resolve_seed(args.seed)
-    result = _run_synthesis(doc, args)
-    _print_report(doc, result, seed)
+    result = _run_synthesis(doc, args.unknown_a3)
+    _print_report(doc, result)
     return 0 if result.regulator is not None else 2
 
 
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
-    seed = _resolve_seed(args.seed)
-    result = _run_synthesis(doc, args)
-    _print_report(doc, result, seed)
+    result = _run_synthesis(doc, args.unknown_a3)
+    _print_report(doc, result)
     if result.regulator is None:
         return 2
     regulator = result.regulator
@@ -195,6 +192,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args, family=None) -> int:
+    seed = _resolve_seed(args.seed)
     doc = load_problem(args.problem)
     reg_doc = load_regulator(args.regulator)
     regulator = reg_doc.regulator
@@ -206,12 +204,10 @@ def cmd_simulate(args, family=None) -> int:
         )
     problem = doc.problem
     known = problem.known
-    seed = _resolve_seed(args.seed)
+    print(f"seed: {seed}")
     with _naming(doc.origin):
-        # cmd_example passes the family of its synthesis, whose report
-        # has already echoed the seed.
+        # cmd_example passes the family of its synthesis.
         if family is None:
-            print(f"seed: {seed}")
             if regulator.provenance.endswith("_unknown_a3"):
                 problem = problem.without_a3()
             family = compatible_set(problem)
@@ -220,12 +216,8 @@ def cmd_simulate(args, family=None) -> int:
     members = sample_members(family, args.members, args.radius, seed)
     rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
-    x1_0 = (
-        _parse_vector(args.x1_0, "--x1-0") if args.x1_0 else np.ones(problem.n1)
-    )
-    x2_0 = (
-        _parse_vector(args.x2_0, "--x2-0") if args.x2_0 else np.ones(problem.n2)
-    )
+    x1_0 = np.ones(problem.n1) if args.x1_0 is None else args.x1_0
+    x2_0 = np.ones(problem.n2) if args.x2_0 is None else args.x2_0
     blocks = []
     for index, (A2, B2, A3) in enumerate(members):
         system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
@@ -252,21 +244,18 @@ def _print_reference_comparison(name: str, computed: dict) -> None:
 
 
 def cmd_example(args) -> int:
+    seed = _resolve_seed(args.seed)
     name = args.name
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args.seed)
     text = fixture_text(name)
     problem_path = outdir / f"{name}_problem.json"
     _atomic_write_text(problem_path, text)
     print(f"wrote {problem_path}")
 
-    check_args = argparse.Namespace(
-        problem=str(problem_path), order=None, unknown_a3=False
-    )
     doc = load_problem(problem_path)
-    result = _run_synthesis(doc, check_args)
-    _print_report(doc, result, seed)
+    result = _run_synthesis(doc, unknown_a3=False)
+    _print_report(doc, result)
     if result.regulator is None:
         return 2
     regulator = result.regulator
@@ -289,8 +278,8 @@ def cmd_example(args) -> int:
         out=str(outdir / f"{name}_trajectories.csv"),
         members=4,
         horizon=None,
-        x1_0=",".join(repr(float(v)) for v in REFERENCE[name]["x1_0"]),
-        x2_0=",".join(repr(float(v)) for v in REFERENCE[name]["x2_0"]),
+        x1_0=REFERENCE[name]["x1_0"],
+        x2_0=REFERENCE[name]["x2_0"],
         seed=seed,
         radius=5.0,
     )
@@ -298,12 +287,11 @@ def cmd_example(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    system, known = load_system(args.system)
     seed = _resolve_seed(args.seed)
+    system, known = load_system(args.system)
     print(f"seed: {seed}")
-    if args.inputs is not None:
-        inputs = _parse_matrix(args.inputs, "--inputs")
-    else:
+    inputs = args.inputs
+    if inputs is None:
         if args.tau is None:
             raise ProblemFileError("either --inputs or --tau is required")
         rng = np.random.default_rng(seed)
@@ -312,12 +300,8 @@ def cmd_gen_data(args) -> int:
         raise ProblemFileError(
             f"--tau {args.tau} does not match --inputs with {inputs.shape[1]} columns"
         )
-    x1_0 = (
-        _parse_vector(args.x1_0, "--x1-0") if args.x1_0 else np.ones(system.n1)
-    )
-    x2_0 = (
-        _parse_vector(args.x2_0, "--x2-0") if args.x2_0 else np.ones(system.n2)
-    )
+    x1_0 = np.ones(system.n1) if args.x1_0 is None else args.x1_0
+    x2_0 = np.ones(system.n2) if args.x2_0 is None else args.x2_0
     data = generate_data(system, x1_0, x2_0, inputs)
     problem = build_problem(data, known)
     save_problem(args.output, problem)
@@ -342,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_synthesis_flags(p):
         p.add_argument("problem", help="problem file (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="seed echoed in the report; the decision draws no random numbers (fallback: DDREG_SEED, then 0)")
-        p.add_argument("--order", choices=_ORDER_CHOICES, default=None, help="condition try order")
         p.add_argument("--unknown-a3", action="store_true", help="treat the coupling matrix as unknown")
 
     p_check = sub.add_parser("check", help="decide informativity and print diagnostics")
@@ -363,26 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="trajectories.csv", help="CSV output path")
     p_sim.add_argument("--members", type=_int_at_least(1), default=4, help="number of members to sample")
     p_sim.add_argument("--horizon", type=_int_at_least(19), default=None, help="steps to simulate (min 19)")
-    p_sim.add_argument("--x1-0", dest="x1_0", default=None, help="initial exosystem state, comma-separated")
-    p_sim.add_argument("--x2-0", dest="x2_0", default=None, help="initial endosystem state, comma-separated")
+    p_sim.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state, comma-separated")
+    p_sim.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state, comma-separated")
     p_sim.add_argument("--radius", type=_finite_nonnegative, default=5.0, help="kernel coordinate range for sampling")
-    p_sim.add_argument("--seed", type=int, default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="run a bundled example end to end")
     p_ex.add_argument("name", choices=EXAMPLE_NAMES)
     p_ex.add_argument("--outdir", default=".", help="directory for the emitted files")
-    p_ex.add_argument("--seed", type=int, default=None)
+    p_ex.add_argument("--seed", type=_int_at_least(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
     p_ex.set_defaults(func=cmd_example)
 
     p_gen = sub.add_parser("gen-data", help="simulate a true system and emit a problem file")
     p_gen.add_argument("system", help="system file (JSON with A1, A2, B2, A3, D1, D2, E)")
     p_gen.add_argument("-o", "--output", required=True, help="problem file to write")
-    p_gen.add_argument("--tau", type=int, default=None, help="number of samples")
-    p_gen.add_argument("--inputs", default=None, help="input matrix, rows joined by ';'")
-    p_gen.add_argument("--x1-0", dest="x1_0", default=None, help="initial exosystem state")
-    p_gen.add_argument("--x2-0", dest="x2_0", default=None, help="initial endosystem state")
-    p_gen.add_argument("--seed", type=int, default=None, help="seed for random inputs")
+    p_gen.add_argument("--tau", type=_int_at_least(1), default=None, help="number of samples")
+    p_gen.add_argument("--inputs", type=_matrix, default=None, help="input matrix, rows joined by ';'")
+    p_gen.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state")
+    p_gen.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state")
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=None, help="seed for random inputs (fallback: DDREG_SEED, then 0)")
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
 

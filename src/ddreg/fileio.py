@@ -9,10 +9,8 @@ from, so a later simulation can flag mismatched inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -29,7 +27,6 @@ from .model import (
     build_problem,
 )
 from .simulation import Trajectory, TrueSystem
-from .synthesis import SynthesisConfig
 
 __all__ = [
     "ProblemFileError",
@@ -45,10 +42,8 @@ __all__ = [
     "save_regulator",
     "load_system",
     "write_trajectories_csv",
-    "merge_config",
 ]
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SynthesisConfig)}
 _PROBLEM_MATRICES = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
 _WITNESS_FIELDS = ("W", "Theta", "X_dagger")
 
@@ -133,33 +128,11 @@ def _check_dims(doc: dict, origin: str, shapes: dict[str, int]) -> None:
             )
 
 
-def _check_config(overrides: dict, origin: str) -> None:
-    unknown = set(overrides) - _CONFIG_TYPES.keys()
-    if unknown:
-        raise ProblemFileError(
-            f"{origin}: unknown config keys {sorted(unknown)}; "
-            f"valid keys are {sorted(_CONFIG_TYPES)}"
-        )
-    for key, value in overrides.items():
-        if _CONFIG_TYPES[key] is str:
-            ok, kind = isinstance(value, str), "a string"
-        else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            ok, kind = ok and math.isfinite(value), "a finite number"
-        if not ok:
-            raise ProblemFileError(f"{origin}: config.{key} must be {kind}, got {value!r}")
-    try:
-        SynthesisConfig(**overrides)
-    except ValueError as exc:  # its messages start with the field name
-        raise ProblemFileError(f"{origin}: config.{exc}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemDocument:
     """Parsed problem file with its raw-content hash."""
 
     problem: Problem
-    config_overrides: dict
     sha256: str
     origin: str
 
@@ -167,6 +140,11 @@ class ProblemDocument:
 def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
     """Parse problem-file text, cross-checking any declared dims."""
     doc = _parse_json(text, origin)
+    if "config" in doc:
+        raise ProblemFileError(
+            f"{origin}: field 'config' is no longer supported: the decision "
+            "takes no settings; remove the field"
+        )
     matrices = {}
     for key in _PROBLEM_MATRICES:
         matrices[key] = _matrix_field(doc, key, origin, required=(key != "A3"))
@@ -197,16 +175,7 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
             "tau": problem.tau,
         },
     )
-    overrides = doc.get("config", {})
-    if not isinstance(overrides, dict):
-        raise ProblemFileError(f"{origin}: field 'config' must be an object")
-    _check_config(overrides, origin)
-    return ProblemDocument(
-        problem=problem,
-        config_overrides=dict(overrides),
-        sha256=_sha256(text),
-        origin=origin,
-    )
+    return ProblemDocument(problem=problem, sha256=_sha256(text), origin=origin)
 
 
 def load_problem(path) -> ProblemDocument:
@@ -217,16 +186,6 @@ def load_problem(path) -> ProblemDocument:
     except OSError as exc:
         raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
     return parse_problem(text, origin=str(path))
-
-
-def merge_config(overrides: dict, **cli_overrides) -> SynthesisConfig:
-    """Config from file-level overrides, with CLI flags taking precedence."""
-    merged = dict(overrides)
-    merged.update({k: v for k, v in cli_overrides.items() if v is not None})
-    try:
-        return SynthesisConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"invalid config: {exc}") from None
 
 
 def _rows(matrix: np.ndarray) -> list[list[float]]:
@@ -250,7 +209,7 @@ def _format_document(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def problem_to_text(problem: Problem, config_overrides: dict | None = None) -> str:
+def problem_to_text(problem: Problem) -> str:
     """Serialize a problem to problem-file JSON."""
     known, data = problem.known, problem.data
     doc = {
@@ -270,14 +229,12 @@ def problem_to_text(problem: Problem, config_overrides: dict | None = None) -> s
         "X1_minus": _rows(data.X1_minus),
         "X2": _rows(data.X2),
     }
-    if config_overrides:
-        doc["config"] = config_overrides
     return _format_document(doc)
 
 
-def save_problem(path, problem: Problem, config_overrides: dict | None = None) -> str:
+def save_problem(path, problem: Problem) -> str:
     """Write a problem file atomically; returns its content hash."""
-    text = problem_to_text(problem, config_overrides)
+    text = problem_to_text(problem)
     _atomic_write_text(path, text)
     return _sha256(text)
 

@@ -19,12 +19,18 @@ satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
 does not depend on the coupling, and the regulator equations replace A3
 by X1_minus W = I.  synthesize requires A3; synthesize_unknown_a3 drops
 any provided A3 and runs the same path.
+
+The decision is a function of the problem alone: it draws no random
+numbers and takes no settings.  Both routes are exact, so trying
+condition 2 before condition 1 only picks which route's gains come
+back.  Equation residuals are held to 1e-8 relative to the right-hand
+side, the tolerance of the consistency check and of verification, and
+certificates to the default margin of LmiProblem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from .model import (
 )
 
 __all__ = [
-    "SynthesisConfig",
     "EndoStabilization",
     "ConditionOutcome",
     "SynthesisResult",
@@ -59,24 +64,8 @@ __all__ = [
     "verify_regulator_unknown_a3",
 ]
 
-_TRY_ORDERS = ("condition2_first", "condition1_first")
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Tolerances and certificate settings for one synthesis run."""
-
-    residual_tol: float = 1e-8
-    try_order: str = "condition2_first"
-    lmi_rho: float = 1e3
-    lmi_margin: float = 1e-6
-
-    def __post_init__(self):
-        if self.try_order not in _TRY_ORDERS:
-            raise ValueError(f"try_order must be one of {_TRY_ORDERS}")
-        for name in ("residual_tol", "lmi_rho", "lmi_margin"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+_RESIDUAL_TOL = 1e-8
+_MARGIN = LmiProblem.margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +120,13 @@ def _closed_loop_data(problem: Problem) -> np.ndarray:
     return data.X2_plus - known.A3 @ data.X1_minus
 
 
-def _lmi_for(
-    problem: Problem, config: SynthesisConfig, constraints: tuple[np.ndarray, ...]
-) -> LmiProblem:
+def _lmi_for(problem: Problem, constraints: tuple[np.ndarray, ...]) -> LmiProblem:
     if problem.known.A3 is None:
         constraints = constraints + (problem.data.X1_minus,)
     return LmiProblem(
         X=problem.data.X2_minus,
         Z=_closed_loop_data(problem),
         equality_constraints=constraints,
-        rho=config.lmi_rho,
-        margin=config.lmi_margin,
     )
 
 
@@ -190,7 +175,7 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_w(problem: Problem, family: CompatibleSet, config: SynthesisConfig):
+def _solve_w(problem: Problem, family: CompatibleSet):
     # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
     # the data equations become those of the family's particular member.
     known, n2, m = problem.known, problem.n2, problem.m
@@ -201,21 +186,19 @@ def _solve_w(problem: Problem, family: CompatibleSet, config: SynthesisConfig):
     lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
-    feasible = residual <= config.residual_tol * (1.0 + float(np.linalg.norm(rhs)))
+    feasible = residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs)))
     return P @ unvec(sol, (S.shape[0], problem.n1)), residual, feasible
 
 
-def check_endo_stabilization(
-    problem: Problem, config: SynthesisConfig | None = None
-) -> EndoStabilization:
+def check_endo_stabilization(problem: Problem) -> EndoStabilization:
     """Decide whether the data pin down one stabilizing state feedback.
 
     Informative iff X2_minus has full row rank and some right-inverse
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
-    stabilizes every compatible member.
+    stabilizes every compatible member.  The certificate must reach the
+    default margin of LmiProblem.
     """
-    config = config or SynthesisConfig()
-    lmi = solve_lmi(_lmi_for(problem, config, ()))
+    lmi = solve_lmi(_lmi_for(problem, ()))
     return EndoStabilization(
         informative=lmi.found,
         K2=problem.data.U_minus @ lmi.X_dagger if lmi.found else None,
@@ -231,30 +214,27 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
     )
 
 
-def check_condition1(
-    problem: Problem, config: SynthesisConfig | None = None
-) -> ConditionOutcome:
+def check_condition1(problem: Problem) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
     The right-inverse is constrained so D2 + E K2 vanishes on the data
     (and, when A3 is None, so the right-inverse annihilates X1_minus).
-    The image-inclusion test runs first; when it already fails the
-    right-inverse is not decided.
+    The image-inclusion test E K1 = -D1, held to 1e-8 (1 + ||D1||),
+    runs first; when it already fails the right-inverse is not decided.
     """
-    config = config or SynthesisConfig()
     known, data = problem.known, problem.data
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
-    if inclusion > config.residual_tol * (1.0 + float(np.linalg.norm(known.D1))):
+    if inclusion > _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(known.D1))):
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
     output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
-    lmi = solve_lmi(_lmi_for(problem, config, (output_map,)))
+    lmi = solve_lmi(_lmi_for(problem, (output_map,)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
-        return _fails(lmi, diagnostics, _lmi_failure(lmi, sought, config))
+        return _fails(lmi, diagnostics, _lmi_failure(lmi, sought))
     K2 = data.U_minus @ lmi.X_dagger
     regulator = Regulator(
         K1=K1,
@@ -268,25 +248,23 @@ def check_condition1(
     )
 
 
-def check_condition2(
-    problem: Problem, config: SynthesisConfig | None = None, family: CompatibleSet | None = None
-) -> ConditionOutcome:
+def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> ConditionOutcome:
     """Equation route: stabilizing right-inverse plus regulator equations.
 
     The regulator equations of the compatible family (built when family
     is None) are solved for [T; V (; I)] = G W in the image of
-    G = [X2_minus; U_minus (; X1_minus)]; K2 = U_minus X^dagger,
-    K1 = V - K2 T, and W is reconstructed as the witness.
+    G = [X2_minus; U_minus (; X1_minus)] and must hold to
+    1e-8 (1 + ||rhs||); K2 = U_minus X^dagger, K1 = V - K2 T, and W is
+    reconstructed as the witness.
     """
-    config = config or SynthesisConfig()
     data = problem.data
     family = family or compatible_set(problem)
-    lmi = solve_lmi(_lmi_for(problem, config, ()))
-    Y, residual, w_ok = _solve_w(problem, family, config)
+    lmi = solve_lmi(_lmi_for(problem, ()))
+    Y, residual, w_ok = _solve_w(problem, family)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
-        reasons.append(_lmi_failure(lmi, "stabilizing right-inverse", config))
+        reasons.append(_lmi_failure(lmi, "stabilizing right-inverse"))
     if not w_ok:
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
@@ -308,31 +286,34 @@ def check_condition2(
     )
 
 
-def _fold_condition(report_slot: ConditionReport, outcome: ConditionOutcome) -> None:
-    report_slot.attempted = True
-    report_slot.holds = outcome.holds
-    report_slot.residuals.update(outcome.diagnostics)
+def _fold(report: SynthesisReport, slot: ConditionReport, outcome: ConditionOutcome) -> None:
+    slot.attempted = True
+    slot.holds = outcome.holds
+    slot.residuals.update(outcome.diagnostics)
+    if outcome.lmi is not None:
+        report.lmi.margin = _MARGIN
+        report.lmi.min_eigenvalue = max(report.lmi.min_eigenvalue, outcome.lmi.min_eig)
 
 
-def _fold_lmi(
-    report: SynthesisReport, lmi: LmiSolution | None, config: SynthesisConfig
-) -> None:
-    if lmi is None:
-        return
-    report.lmi.margin = config.lmi_margin
-    report.lmi.min_eigenvalue = max(report.lmi.min_eigenvalue, lmi.min_eig)
-
-
-def _lmi_failure(lmi: LmiSolution, sought: str, config: SynthesisConfig) -> str:
+def _lmi_failure(lmi: LmiSolution, sought: str) -> str:
     if lmi.witness is not None:
         return f"no {sought} exists: {lmi.witness}"
     return (
         f"a {sought} exists, but its certificate reaches min_eig "
-        f"{lmi.min_eig:.3e}, below the margin {config.lmi_margin:.3e}"
+        f"{lmi.min_eig:.3e}, below the margin {_MARGIN:.3e}"
     )
 
 
-def _synthesize(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
+def _informative(problem, report, name, outcome, family) -> SynthesisResult:
+    report.chosen_condition = name
+    report.messages.append(
+        f"informative for regulator design via {name}"
+        + (" (unknown coupling)" if problem.known.A3 is None else "")
+    )
+    return SynthesisResult(regulator=outcome.regulator, report=report, family=family)
+
+
+def _synthesize(problem: Problem) -> SynthesisResult:
     # The conditions read only the data, so data that no system could
     # have produced would pass them; raises InconsistentDataError.
     family = compatible_set(problem)
@@ -346,40 +327,24 @@ def _synthesize(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
         )
         return SynthesisResult(regulator=None, report=report, family=family)
 
-    order = (
-        ("condition2", "condition1")
-        if config.try_order == "condition2_first"
-        else ("condition1", "condition2")
-    )
-    checks = {"condition1": check_condition1, "condition2": partial(check_condition2, family=family)}
-    slots = {"condition1": report.condition1, "condition2": report.condition2}
-    outcomes: dict[str, ConditionOutcome] = {}
-    for name in order:
-        outcome = checks[name](problem, config)
-        outcomes[name] = outcome
-        _fold_condition(slots[name], outcome)
-        _fold_lmi(report, outcome.lmi, config)
-        if outcome.holds:
-            report.chosen_condition = name
-            report.messages.append(
-                f"informative for regulator design via {name}"
-                + (" (unknown coupling)" if problem.known.A3 is None else "")
-            )
-            return SynthesisResult(
-                regulator=outcome.regulator, report=report, family=family
-            )
-
-    for name in order:
-        report.messages.append(f"{name}: " + "; ".join(outcomes[name].reasons))
+    second = check_condition2(problem, family)
+    _fold(report, report.condition2, second)
+    if second.holds:
+        return _informative(problem, report, "condition2", second, family)
+    first = check_condition1(problem)
+    _fold(report, report.condition1, first)
+    if first.holds:
+        return _informative(problem, report, "condition1", first, family)
+    report.messages.append("condition2: " + "; ".join(second.reasons))
+    report.messages.append("condition1: " + "; ".join(first.reasons))
     report.messages.append("not informative for regulator design")
     return SynthesisResult(regulator=None, report=report, family=family)
 
 
-def synthesize(
-    problem: Problem, config: SynthesisConfig | None = None
-) -> SynthesisResult:
+def synthesize(problem: Problem) -> SynthesisResult:
     """Decide informativity and synthesize gains, trying both routes.
 
+    Condition 2 is tried first and condition 1 only when it fails.
     Raises ValueError when A3 is None, InconsistentDataError when no
     system matches the data and AntiStabilityError when the exosystem is
     not anti-stable.  On success the regulator carries its witnesses; on
@@ -390,14 +355,12 @@ def synthesize(
             "A3 is required to form the (A2, B2) family; treat the coupling "
             "as unknown (synthesize_unknown_a3, or --unknown-a3) without it"
         )
-    return _synthesize(problem, config or SynthesisConfig())
+    return _synthesize(problem)
 
 
-def synthesize_unknown_a3(
-    problem: Problem, config: SynthesisConfig | None = None
-) -> SynthesisResult:
+def synthesize_unknown_a3(problem: Problem) -> SynthesisResult:
     """Synthesis for problem.without_a3(): any provided A3 is ignored."""
-    return _synthesize(problem.without_a3(), config or SynthesisConfig())
+    return _synthesize(problem.without_a3())
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,24 @@ def planar_path(tmp_path):
     return path
 
 
+@pytest.fixture()
+def system_path(tmp_path):
+    """A true-system file with the scalar fixture's known matrices."""
+    known = load_problem_from_fixture().known
+    system_doc = {
+        "A1": known.A1.tolist(),
+        "A2": [[1.0]],
+        "B2": [[1.0]],
+        "A3": known.A3.tolist(),
+        "D1": known.D1.tolist(),
+        "D2": known.D2.tolist(),
+        "E": known.E.tolist(),
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_doc))
+    return path
+
+
 def test_check_informative_exits_zero(scalar_path, capsys):
     assert main(["check", str(scalar_path)]) == 0
     out = capsys.readouterr().out
@@ -103,12 +121,55 @@ def test_version_flag(capsys):
     assert f"ddreg {ddreg.__version__}" in capsys.readouterr().out
 
 
-def test_seed_env_fallback(scalar_path, capsys, monkeypatch):
+def test_seed_env_fallback(system_path, tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "p.json"
+    argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "3"]
     monkeypatch.setenv("DDREG_SEED", "7")
-    assert main(["check", str(scalar_path)]) == 0
-    assert "seed: 7" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("seed: 7\n")
+    out_path.unlink()
     monkeypatch.setenv("DDREG_SEED", "seven")
-    assert main(["check", str(scalar_path)]) == 1
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: DDREG_SEED must be an integer >= 0, got 'seven'\n"
+    assert not out_path.exists()
+
+
+def test_check_and_synth_take_no_seed(scalar_path, tmp_path, capsys, monkeypatch):
+    # The decision draws no random numbers, so nothing echoes or reads a seed.
+    monkeypatch.setenv("DDREG_SEED", "seven")
+    assert main(["check", str(scalar_path)]) == 0
+    assert main(["synth", str(scalar_path), "-o", str(tmp_path / "r.json")]) == 0
+    assert "seed" not in capsys.readouterr().out
+    for flag in (["--seed", "1"], ["--order", "condition1-first"]):
+        assert main(["check", str(scalar_path)] + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["simulate", "example", "gen-data"])
+def test_a_negative_seed_fails_before_any_work(
+    command, source, planar_path, system_path, tmp_path, capsys, monkeypatch
+):
+    reg_path = tmp_path / "regulator.json"
+    assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+    capsys.readouterr()
+    before = set(tmp_path.iterdir())
+    argv = {
+        "simulate": ["simulate", str(planar_path), str(reg_path), "--out", str(tmp_path / "t.csv")],
+        "example": ["example", "planar", "--outdir", str(tmp_path / "example")],
+        "gen-data": ["gen-data", str(system_path), "-o", str(tmp_path / "p.json"), "--tau", "3"],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        message = "argument --seed: must be at least 0, got -1"
+    else:
+        monkeypatch.setenv("DDREG_SEED", "-1")
+        message = "error: DDREG_SEED must be an integer >= 0, got '-1'"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_synth_writes_regulator_file(planar_path, tmp_path, capsys):
@@ -164,8 +225,9 @@ def test_bad_config_value_exits_one_naming_file_and_field(config, tmp_path, caps
         fixture_text("scalar").replace('"U_minus"', f'"config": {config}, "U_minus"', 1)
     )
     assert main(["check", str(path)]) == 1
-    key = config.split('"')[1]
-    assert f"error: {path}: config.{key} must be a finite number" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: field 'config' is no longer supported")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -437,6 +499,8 @@ def test_simulate_reports_a_diverged_member_without_a_warning(tmp_path, capsys):
         ("--radius", "-1"),
         ("--horizon", "5"),
         ("--members", "0"),
+        ("--x1-0", "nan,0,1"),
+        ("--x2-0", "1,inf"),
     ],
 )
 def test_bad_simulate_flags_exit_one_naming_the_flag(flag, value, planar_path, tmp_path, capsys):
@@ -527,19 +591,7 @@ def test_gen_data_reproduces_the_bundled_fixture(scalar_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gen_data_requires_tau_or_inputs(tmp_path, capsys):
-    system_path = tmp_path / "system.json"
-    known = load_problem_from_fixture().known
-    system_doc = {
-        "A1": known.A1.tolist(),
-        "A2": [[1.0]],
-        "B2": [[1.0]],
-        "A3": known.A3.tolist(),
-        "D1": known.D1.tolist(),
-        "D2": known.D2.tolist(),
-        "E": known.E.tolist(),
-    }
-    system_path.write_text(json.dumps(system_doc))
+def test_gen_data_requires_tau_or_inputs(system_path, tmp_path, capsys):
     code = main(["gen-data", str(system_path), "-o", str(tmp_path / "p.json")])
     assert code == 1
     assert "either --inputs or --tau" in capsys.readouterr().err
@@ -551,19 +603,7 @@ def load_problem_from_fixture():
     return parse_problem(fixture_text("scalar")).problem
 
 
-def test_gen_data_random_inputs_are_seeded(tmp_path, capsys):
-    known = load_problem_from_fixture().known
-    system_doc = {
-        "A1": known.A1.tolist(),
-        "A2": [[1.0]],
-        "B2": [[1.0]],
-        "A3": known.A3.tolist(),
-        "D1": known.D1.tolist(),
-        "D2": known.D2.tolist(),
-        "E": known.E.tolist(),
-    }
-    system_path = tmp_path / "system.json"
-    system_path.write_text(json.dumps(system_doc))
+def test_gen_data_random_inputs_are_seeded(system_path, tmp_path, capsys):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a_path, b_path):
         code = main(
@@ -581,3 +621,23 @@ def test_gen_data_random_inputs_are_seeded(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert a_path.read_text() == b_path.read_text()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tau", "-1"),
+        ("--tau", "0"),
+        ("--x1-0", "nan,0,1"),
+        ("--x2-0", "inf"),
+        ("--inputs", "1,nan,2"),
+    ],
+)
+def test_bad_gen_data_flags_exit_one_naming_the_flag(flag, value, system_path, tmp_path, capsys):
+    out_path = tmp_path / "p.json"
+    argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "3", flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
