@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DimensionError, NonFiniteError
+from .model import UNIT_CIRCLE_MARGIN, DimensionError, NonFiniteError, within_tolerance
 
 __all__ = [
     "AntiStabilityError",
     "SingularOperatorError",
     "SpectralInfo",
     "spectral_info",
+    "require_anti_stable",
     "vec",
     "unvec",
     "kron",
@@ -37,6 +38,10 @@ class AntiStabilityError(ValueError):
 
 class SingularOperatorError(np.linalg.LinAlgError):
     """The vectorized equation operator is singular within tolerance."""
+
+
+# Singularity cutoff of the Sylvester operator, relative to max(1, sigma_max).
+_SINGULAR_RTOL = 1e-9
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -78,14 +83,14 @@ class SpectralInfo:
     is_anti_stable: bool
 
 
-def spectral_info(M, margin: float = 1e-9) -> SpectralInfo:
+def spectral_info(M) -> SpectralInfo:
     """Classify the spectrum of a square matrix.
 
     Eigenvalues come from LAPACK's general eigenvalue solver, which
     returns real eigenvalues with zero imaginary part and complex ones as
     exact conjugate pairs.  A matrix is stable when its spectral radius
-    is below 1 - margin and anti-stable when every eigenvalue modulus is
-    at least 1 - margin.
+    is below 1 - UNIT_CIRCLE_MARGIN and anti-stable when every eigenvalue
+    modulus is at least 1 - UNIT_CIRCLE_MARGIN.
     """
     M = _square("M", M)
     if M.shape[0] == 0:
@@ -96,9 +101,18 @@ def spectral_info(M, margin: float = 1e-9) -> SpectralInfo:
     return SpectralInfo(
         eigenvalues=eigenvalues,
         spectral_radius=radius,
-        is_stable=bool(radius < 1.0 - margin),
-        is_anti_stable=bool(moduli.min() >= 1.0 - margin),
+        is_stable=bool(radius < 1.0 - UNIT_CIRCLE_MARGIN),
+        is_anti_stable=bool(moduli.min() >= 1.0 - UNIT_CIRCLE_MARGIN),
     )
+
+
+def require_anti_stable(A1) -> None:
+    """Raise AntiStabilityError unless the exosystem matrix A1 is anti-stable."""
+    if not spectral_info(A1).is_anti_stable:
+        raise AntiStabilityError(
+            "A1 must be anti-stable: stable exosystem modes decay on their own "
+            "and make the data uninformative about regulation"
+        )
 
 
 def sylvester_operator(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
@@ -108,7 +122,7 @@ def sylvester_operator(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     return kron(A1.T, np.eye(n2)) - kron(np.eye(n1), A2)
 
 
-def solve_sylvester(A1, A2, A3, rtol: float = 1e-9) -> np.ndarray:
+def solve_sylvester(A1, A2, A3) -> np.ndarray:
     """Solve T A1 - A2 T = A3 for T.
 
     The equation is vectorized to (A1^T kron I - I kron A2) vec(T) =
@@ -127,7 +141,7 @@ def solve_sylvester(A1, A2, A3, rtol: float = 1e-9) -> np.ndarray:
         )
     L = sylvester_operator(A1, A2)
     s = np.linalg.svd(L, compute_uv=False)
-    if s.size == 0 or s[-1] <= rtol * max(1.0, s[0]):
+    if s.size == 0 or s[-1] <= _SINGULAR_RTOL * max(1.0, s[0]):
         raise SingularOperatorError(
             "spectra of A1 and A2 intersect within tolerance; "
             "the Sylvester operator is singular"
@@ -147,26 +161,22 @@ class RegulationCheck:
     output_residual: float | None
 
 
-def check_output_regulated(
-    A1, A2, A3, D1, D2, margin: float = 1e-9, tol: float = 1e-8
-) -> RegulationCheck:
+def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     """Decide output regulation for explicit matrices.
 
-    Requires A1 anti-stable (raises AntiStabilityError otherwise).  The
+    Requires A1 anti-stable (see require_anti_stable).  The
     interconnection is regulated iff A2 is stable and the unique solution
-    T of T A1 - A2 T = A3 satisfies D1 + D2 T = 0 within tolerance.
+    T of T A1 - A2 T = A3 satisfies D1 + D2 T = 0 within_tolerance of
+    ||D1||.
     """
-    if not spectral_info(A1, margin).is_anti_stable:
-        raise AntiStabilityError(
-            "A1 must be anti-stable (all eigenvalue moduli >= 1)"
-        )
-    if not spectral_info(A2, margin).is_stable:
+    require_anti_stable(A1)
+    if not spectral_info(A2).is_stable:
         return RegulationCheck(regulated=False, T=None, output_residual=None)
     D1 = np.asarray(D1, dtype=float)
     D2 = np.asarray(D2, dtype=float)
     T = solve_sylvester(A1, A2, A3)
     residual = float(np.linalg.norm(D1 + D2 @ T))
-    regulated = residual <= tol * (1.0 + float(np.linalg.norm(D1)))
+    regulated = within_tolerance(residual, float(np.linalg.norm(D1)))
     return RegulationCheck(regulated=regulated, T=T, output_residual=residual)
 
 
@@ -180,21 +190,16 @@ class ClassicalRegulator:
     residual: float
 
 
-def solve_classical_regulator(
-    A1, A2, B2, A3, D1, D2, E, tol: float = 1e-8
-) -> ClassicalRegulator:
+def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     """Solve T A1 - A2 T - B2 V = A3,  D1 + D2 T + E V = 0 for (T, V).
 
     Both equations are vectorized, stacked and solved by least squares;
-    the pair is reported infeasible when the residual exceeds
-    tol * (1 + ||rhs||).  Requires A1 anti-stable.
+    the pair is reported infeasible when the residual fails
+    within_tolerance of ||rhs||.  Requires A1 anti-stable.
     """
     A1 = _square("A1", A1)
     A2 = _square("A2", A2)
-    if not spectral_info(A1).is_anti_stable:
-        raise AntiStabilityError(
-            "A1 must be anti-stable (all eigenvalue moduli >= 1)"
-        )
+    require_anti_stable(A1)
     B2 = np.asarray(B2, dtype=float)
     A3 = np.asarray(A3, dtype=float)
     D1 = np.asarray(D1, dtype=float)
@@ -210,7 +215,7 @@ def solve_classical_regulator(
     residual = float(np.linalg.norm(lhs @ sol - rhs))
     T = unvec(sol[: n1 * n2], (n2, n1))
     V = unvec(sol[n1 * n2 :], (m, n1))
-    feasible = residual <= tol * (1.0 + float(np.linalg.norm(rhs)))
+    feasible = within_tolerance(residual, float(np.linalg.norm(rhs)))
     return ClassicalRegulator(feasible=feasible, T=T, V=V, residual=residual)
 
 

@@ -52,11 +52,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -74,7 +76,7 @@ def _resolve_seed(value) -> int:
         return value
     env = os.environ.get("DDREG_SEED", "0")
     try:
-        return _int_at_least(0)(env)
+        return _int_in(0)(env)
     except (ValueError, argparse.ArgumentTypeError):
         raise ProblemFileError(f"DDREG_SEED must be an integer >= 0, got {env!r}") from None
 
@@ -104,6 +106,15 @@ def _matrix(text: str) -> np.ndarray:
             f"must be rows of comma-separated numbers joined by ';', got {text!r}"
         ) from None
     return _finite(values, text)
+
+
+def _initial_state(flag: str, value, n: int):
+    """The state given by flag, all ones when it is absent; it must have length n."""
+    if value is None:
+        return np.ones(n)
+    if len(value) != n:
+        raise ProblemFileError(f"{flag} must have length {n}, got {len(value)}")
+    return value
 
 
 @contextmanager
@@ -196,13 +207,15 @@ def cmd_simulate(args, family=None) -> int:
     doc = load_problem(args.problem)
     reg_doc = load_regulator(args.regulator)
     regulator = reg_doc.regulator
+    problem = doc.problem
+    x1_0 = _initial_state("--x1-0", args.x1_0, problem.n1)
+    x2_0 = _initial_state("--x2-0", args.x2_0, problem.n2)
     if reg_doc.problem_sha256 and reg_doc.problem_sha256 != doc.sha256:
         print(
             "warning: regulator was synthesized from a different problem file "
             "(content hash mismatch)",
             file=sys.stderr,
         )
-    problem = doc.problem
     known = problem.known
     print(f"seed: {seed}")
     with _naming(doc.origin):
@@ -216,8 +229,6 @@ def cmd_simulate(args, family=None) -> int:
     members = sample_members(family, args.members, args.radius, seed)
     rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
-    x1_0 = np.ones(problem.n1) if args.x1_0 is None else args.x1_0
-    x2_0 = np.ones(problem.n2) if args.x2_0 is None else args.x2_0
     blocks = []
     for index, (A2, B2, A3) in enumerate(members):
         system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
@@ -289,6 +300,8 @@ def cmd_example(args) -> int:
 def cmd_gen_data(args) -> int:
     seed = _resolve_seed(args.seed)
     system, known = load_system(args.system)
+    x1_0 = _initial_state("--x1-0", args.x1_0, system.n1)
+    x2_0 = _initial_state("--x2-0", args.x2_0, system.n2)
     print(f"seed: {seed}")
     inputs = args.inputs
     if inputs is None:
@@ -300,8 +313,6 @@ def cmd_gen_data(args) -> int:
         raise ProblemFileError(
             f"--tau {args.tau} does not match --inputs with {inputs.shape[1]} columns"
         )
-    x1_0 = np.ones(system.n1) if args.x1_0 is None else args.x1_0
-    x2_0 = np.ones(system.n2) if args.x2_0 is None else args.x2_0
     data = generate_data(system, x1_0, x2_0, inputs)
     problem = build_problem(data, known)
     save_problem(args.output, problem)
@@ -343,28 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("problem", help="problem file (JSON)")
     p_sim.add_argument("regulator", help="regulator file (JSON)")
     p_sim.add_argument("--out", default="trajectories.csv", help="CSV output path")
-    p_sim.add_argument("--members", type=_int_at_least(1), default=4, help="number of members to sample")
-    p_sim.add_argument("--horizon", type=_int_at_least(19), default=None, help="steps to simulate (min 19)")
+    p_sim.add_argument("--members", type=_int_in(1, 100), default=4, help="number of members to sample (1 to 100)")
+    p_sim.add_argument("--horizon", type=_int_in(19, 10_000), default=None, help="steps to simulate (19 to 10000)")
     p_sim.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state, comma-separated")
     p_sim.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state, comma-separated")
     p_sim.add_argument("--radius", type=_finite_nonnegative, default=5.0, help="kernel coordinate range for sampling")
-    p_sim.add_argument("--seed", type=_int_at_least(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
+    p_sim.add_argument("--seed", type=_int_in(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="run a bundled example end to end")
     p_ex.add_argument("name", choices=EXAMPLE_NAMES)
     p_ex.add_argument("--outdir", default=".", help="directory for the emitted files")
-    p_ex.add_argument("--seed", type=_int_at_least(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
+    p_ex.add_argument("--seed", type=_int_in(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
     p_ex.set_defaults(func=cmd_example)
 
     p_gen = sub.add_parser("gen-data", help="simulate a true system and emit a problem file")
     p_gen.add_argument("system", help="system file (JSON with A1, A2, B2, A3, D1, D2, E)")
     p_gen.add_argument("-o", "--output", required=True, help="problem file to write")
-    p_gen.add_argument("--tau", type=_int_at_least(1), default=None, help="number of samples")
+    p_gen.add_argument("--tau", type=_int_in(1), default=None, help="number of samples")
     p_gen.add_argument("--inputs", type=_matrix, default=None, help="input matrix, rows joined by ';'")
     p_gen.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state")
     p_gen.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state")
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=None, help="seed for random inputs (fallback: DDREG_SEED, then 0)")
+    p_gen.add_argument("--seed", type=_int_in(0), default=None, help="seed for random inputs (fallback: DDREG_SEED, then 0)")
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
 

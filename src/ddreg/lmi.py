@@ -28,10 +28,11 @@ a Stein step needs no solve, only two products and a squaring of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .model import DimensionError, rank_from_singular_values
+from .model import UNIT_CIRCLE_MARGIN, DimensionError, rank_from_singular_values
 
 __all__ = [
     "LmiProblem",
@@ -43,8 +44,6 @@ __all__ = [
     "check_theta",
 ]
 
-# Eigenvalues this close to the unit circle count as unstable.
-_UNIT_CIRCLE_TOL = 1e-9
 # PBH rank cutoff, relative to the size of the data behind A0 and B0.  On
 # the bundled test corpora uncontrollable modes sit below 3e-16 on this
 # scale and controllable ones above 7e-10.
@@ -62,16 +61,16 @@ class LmiProblem:
     """Data of one feasibility instance.
 
     X and Z are n x tau with tau >= n; each equality constraint is a
-    matrix C with tau columns imposing C Theta = 0.  rho bounds the
-    Frobenius norm of Theta, margin is the acceptance threshold on the
-    smallest block eigenvalue.
+    matrix C with tau columns imposing C Theta = 0.  The constant rho is
+    the Frobenius norm of the returned Theta, and margin the acceptance
+    threshold on the smallest block eigenvalue.
     """
 
     X: np.ndarray
     Z: np.ndarray
     equality_constraints: tuple[np.ndarray, ...] = ()
-    rho: float = 1e3
-    margin: float = 1e-6
+    rho: ClassVar[float] = 1e3
+    margin: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -91,8 +90,6 @@ class LmiProblem:
                     f"equality constraint {k} must have {tau} columns, got shape {C.shape}"
                 )
             constraints.append(C)
-        if not (self.rho > 0 and self.margin > 0):
-            raise ValueError("rho and margin must be positive")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "equality_constraints", tuple(constraints))
@@ -207,7 +204,7 @@ def _stuck_mode(Z, Xp, N) -> complex | None:
     A0, B0 = Z @ Xp, xp_norm * (Z @ N)
     cutoff = _PBH_RTOL * max(1.0, np.linalg.norm(Z, 2) * xp_norm)
     eigenvalues = np.linalg.eigvals(A0)
-    candidates = eigenvalues[np.abs(eigenvalues) >= 1.0 - _UNIT_CIRCLE_TOL]
+    candidates = eigenvalues[np.abs(eigenvalues) >= 1.0 - UNIT_CIRCLE_MARGIN]
     if candidates.size == 0:
         return None
     # One batched SVD of [A0 - lambda I, B0] per candidate, in the
@@ -271,18 +268,12 @@ def _not_found(min_eig: float, witness: Witness | None = None) -> LmiSolution:
     )
 
 
-def solve_lmi(
-    problem: LmiProblem,
-    budget: int | None = None,
-    n_starts: int | None = None,
-    seed: int | None = None,
-) -> LmiSolution:
+def solve_lmi(problem: LmiProblem, seed: int | None = None) -> LmiSolution:
     """Decide the instance exactly and construct a certificate.
 
     The returned Theta is rescaled to Frobenius norm rho, which leaves
     X_dagger unchanged and maximizes the eigenvalue margin within the
-    bound.  budget, n_starts and seed are accepted for compatibility and
-    ignored.
+    bound.  seed is accepted for compatibility and ignored.
     """
     X, Z = problem.X, problem.Z
     family = _right_inverses(problem)

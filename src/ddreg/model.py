@@ -6,8 +6,9 @@ reproduces the measured transitions is "compatible" with the data; the
 set of compatible systems is an affine family, and a regulator counts as
 data-driven only if it works for each member of that family.  This module
 holds the data containers, the known-matrix container, the affine family
-(particular solution plus orthonormal kernel parametrization) and the
-result types shared by the synthesis layer.
+(particular solution plus orthonormal kernel parametrization), the
+result types shared by the synthesis layer and the numerical policy of
+every layer, which no function takes as a parameter.
 """
 
 from __future__ import annotations
@@ -33,7 +34,21 @@ __all__ = [
     "LmiReport",
     "SynthesisReport",
     "rank_from_singular_values",
+    "RESIDUAL_RTOL",
+    "UNIT_CIRCLE_MARGIN",
+    "within_tolerance",
 ]
+
+# An equation holds when its residual is within_tolerance of the norm of its
+# right-hand side; an eigenvalue with |lambda| >= 1 - UNIT_CIRCLE_MARGIN is
+# on or outside the unit circle.
+RESIDUAL_RTOL = 1e-8
+UNIT_CIRCLE_MARGIN = 1e-9
+
+
+def within_tolerance(residual: float, reference: float) -> bool:
+    """The relative-residual rule: residual <= RESIDUAL_RTOL * (1 + reference)."""
+    return residual <= RESIDUAL_RTOL * (1.0 + reference)
 
 
 class DimensionError(ValueError):
@@ -132,7 +147,7 @@ class KnownMatrices:
     A1 drives the exosystem, A3 couples it into the endosystem (None when
     the coupling is treated as unknown), and D1, D2, E form the regulated
     output z = D1 x1 + D2 x2 + E u.  Anti-stability of A1 is checked at
-    the use sites, not here.
+    the use sites (analysis.require_anti_stable), not here.
     """
 
     A1: np.ndarray
@@ -268,7 +283,7 @@ class CompatibleSet:
         return self.A2_part.shape[0]
 
 
-def _compatible_set(problem: Problem, rtol: float) -> CompatibleSet:
+def _compatible_set(problem: Problem) -> CompatibleSet:
     data, known = problem.data, problem.known
     n2, m = data.n2, data.m
     if known.A3 is None:
@@ -281,16 +296,16 @@ def _compatible_set(problem: Problem, rtol: float) -> CompatibleSet:
         sol, *_ = np.linalg.lstsq(G.T, Z.T, rcond=None)
         M = sol.T
         residual = float(np.linalg.norm(M @ G - Z))
-        bound = rtol * (1.0 + float(np.linalg.norm(Z)))
-    if not np.isfinite(bound) or not np.isfinite(residual):
+        reference = float(np.linalg.norm(Z))
+    if not np.isfinite(reference) or not np.isfinite(residual):
         raise InconsistentDataError(
             f"the consistency of the measured transitions cannot be checked: "
             f"{rhs} or the residual overflows double precision; rescale the samples"
         )
-    if residual > bound:
+    if not within_tolerance(residual, reference):
         raise InconsistentDataError(
             f"no system matches the measured transitions: residual {residual:.3e} "
-            f"exceeds {rtol:.1e} * (1 + {rhs})"
+            f"exceeds {RESIDUAL_RTOL:.1e} * (1 + {rhs})"
         )
     U, s, _ = np.linalg.svd(G)
     S = U[:, rank_from_singular_values(s, G.shape) :]
@@ -309,21 +324,21 @@ def _compatible_set(problem: Problem, rtol: float) -> CompatibleSet:
     )
 
 
-def compatible_set(problem: Problem, rtol: float = 1e-8) -> CompatibleSet:
+def compatible_set(problem: Problem) -> CompatibleSet:
     """Build the affine family of systems compatible with the data.
 
     Solves [A2 B2] [X2_minus; U_minus] = X2_plus - A3 X1_minus when A3
     is known, and [A2 B2 A3] [X2_minus; U_minus; X1_minus] = X2_plus
     when it is None, in the least-squares sense, and attaches the kernel
     parametrization.  Raises InconsistentDataError when the residual
-    exceeds rtol * (1 + ||right-hand side||_F).
+    fails within_tolerance against ||right-hand side||_F.
     """
-    return _compatible_set(problem, rtol)
+    return _compatible_set(problem)
 
 
-def compatible_set_unknown_a3(problem: Problem, rtol: float = 1e-8) -> CompatibleSet:
+def compatible_set_unknown_a3(problem: Problem) -> CompatibleSet:
     """The family of problem.without_a3(): any provided A3 is ignored."""
-    return _compatible_set(problem.without_a3(), rtol)
+    return _compatible_set(problem.without_a3())
 
 
 def member_at(cset: CompatibleSet, N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,6 +40,9 @@ __all__ = [
 _ZERO_FLOOR = 1e-14
 _PEAK_FLOOR = 1e-12
 _FLOOR_SPREAD = 10.0
+# Allowed excess of the fitted rate over rho_bound; terminal ||z|| bound.
+_RATE_SLACK = 0.05
+_TERMINAL_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +183,15 @@ def horizon_for_radius(rho: float) -> int:
     return int(min(500, max(20, steps)))
 
 
-def decay_check(
-    trajectory: Trajectory,
-    rho_bound: float,
-    rate_slack: float = 0.05,
-    terminal_tol: float = 1e-6,
-) -> DecayResult:
+def decay_check(trajectory: Trajectory, rho_bound: float) -> DecayResult:
     """Fit a geometric rate to ||z(t)|| and compare against rho_bound.
 
     The rate is a least-squares fit of the log of the upper envelope
     max_{s >= t} ||z(s)|| over the tail half of the horizon, so the dips
     of an oscillating output do not bias it; steps whose envelope is at
     the floating-point floor are ignored.  The check passes when the
-    fitted rate is at most rho_bound + rate_slack and the terminal norm
-    is below terminal_tol * (1 + ||z(0)||).  The trajectory must hold at
+    fitted rate is at most rho_bound + 0.05 and the terminal norm is
+    below 1e-6 * (1 + ||z(0)||).  The trajectory must hold at
     least 20 samples so the tail fit has support.
     """
     with np.errstate(over="ignore"):  # a diverged member's norm is inf
@@ -205,7 +203,7 @@ def decay_check(
         )
     z0 = norms[0]
     terminal = float(norms[-1])
-    terminal_ok = terminal < terminal_tol * (1.0 + z0)
+    terminal_ok = terminal < _TERMINAL_RTOL * (1.0 + z0)
     envelope = np.maximum.accumulate(norms[::-1])[::-1]
     tail = envelope[n_steps // 2 :]
     t_tail = np.arange(n_steps // 2, n_steps)
@@ -219,7 +217,7 @@ def decay_check(
         return DecayResult(passes=terminal_ok, fitted_rate=0.0, terminal_norm=terminal)
     slope = np.polyfit(t_tail[mask], np.log(tail[mask]), 1)[0]
     fitted_rate = float(np.exp(slope))
-    passes = terminal_ok and fitted_rate <= rho_bound + rate_slack
+    passes = terminal_ok and fitted_rate <= rho_bound + _RATE_SLACK
     return DecayResult(passes=passes, fitted_rate=fitted_rate, terminal_norm=terminal)
 
 

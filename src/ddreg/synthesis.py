@@ -23,9 +23,9 @@ any provided A3 and runs the same path.
 The decision is a function of the problem alone: it draws no random
 numbers and takes no settings.  Both routes are exact, so trying
 condition 2 before condition 1 only picks which route's gains come
-back.  Equation residuals are held to 1e-8 relative to the right-hand
-side, the tolerance of the consistency check and of verification, and
-certificates to the default margin of LmiProblem.
+back.  Equation residuals are held to model.within_tolerance, the rule
+of the consistency check and of verification, and certificates to
+LmiProblem.margin.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AntiStabilityError, assemble_gains, kron, solve_sylvester, spectral_info, unvec, vec
+from .analysis import assemble_gains, kron, require_anti_stable, solve_sylvester, spectral_info, unvec, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -45,6 +45,7 @@ from .model import (
     SynthesisReport,
     compatible_set,
     rank_from_singular_values,
+    within_tolerance,
 )
 
 __all__ = [
@@ -63,9 +64,6 @@ __all__ = [
     "verify_regulator",
     "verify_regulator_unknown_a3",
 ]
-
-_RESIDUAL_TOL = 1e-8
-_MARGIN = LmiProblem.margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +95,6 @@ class SynthesisResult:
     regulator: Regulator | None
     report: SynthesisReport
     family: CompatibleSet
-
-
-def _require_anti_stable(known: KnownMatrices) -> None:
-    if not spectral_info(known.A1).is_anti_stable:
-        raise AntiStabilityError(
-            "A1 must be anti-stable: stable exosystem modes decay on their own "
-            "and make the data uninformative about regulation"
-        )
 
 
 def _rank_x2_minus(problem: Problem) -> int:
@@ -186,7 +176,7 @@ def _solve_w(problem: Problem, family: CompatibleSet):
     lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
-    feasible = residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs)))
+    feasible = within_tolerance(residual, float(np.linalg.norm(rhs)))
     return P @ unvec(sol, (S.shape[0], problem.n1)), residual, feasible
 
 
@@ -195,8 +185,8 @@ def check_endo_stabilization(problem: Problem) -> EndoStabilization:
 
     Informative iff X2_minus has full row rank and some right-inverse
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
-    stabilizes every compatible member.  The certificate must reach the
-    default margin of LmiProblem.
+    stabilizes every compatible member.  The certificate must reach
+    LmiProblem.margin.
     """
     lmi = solve_lmi(_lmi_for(problem, ()))
     return EndoStabilization(
@@ -219,14 +209,15 @@ def check_condition1(problem: Problem) -> ConditionOutcome:
 
     The right-inverse is constrained so D2 + E K2 vanishes on the data
     (and, when A3 is None, so the right-inverse annihilates X1_minus).
-    The image-inclusion test E K1 = -D1, held to 1e-8 (1 + ||D1||),
-    runs first; when it already fails the right-inverse is not decided.
+    The image-inclusion test E K1 = -D1, held to within_tolerance of
+    ||D1||, runs first; when it already fails the right-inverse is not
+    decided.
     """
     known, data = problem.known, problem.data
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
-    if inclusion > _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(known.D1))):
+    if not within_tolerance(inclusion, float(np.linalg.norm(known.D1))):
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
     output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
@@ -253,8 +244,8 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
 
     The regulator equations of the compatible family (built when family
     is None) are solved for [T; V (; I)] = G W in the image of
-    G = [X2_minus; U_minus (; X1_minus)] and must hold to
-    1e-8 (1 + ||rhs||); K2 = U_minus X^dagger, K1 = V - K2 T, and W is
+    G = [X2_minus; U_minus (; X1_minus)] and must hold within_tolerance
+    of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T, and W is
     reconstructed as the witness.
     """
     data = problem.data
@@ -291,7 +282,7 @@ def _fold(report: SynthesisReport, slot: ConditionReport, outcome: ConditionOutc
     slot.holds = outcome.holds
     slot.residuals.update(outcome.diagnostics)
     if outcome.lmi is not None:
-        report.lmi.margin = _MARGIN
+        report.lmi.margin = LmiProblem.margin
         report.lmi.min_eigenvalue = max(report.lmi.min_eigenvalue, outcome.lmi.min_eig)
 
 
@@ -300,7 +291,7 @@ def _lmi_failure(lmi: LmiSolution, sought: str) -> str:
         return f"no {sought} exists: {lmi.witness}"
     return (
         f"a {sought} exists, but its certificate reaches min_eig "
-        f"{lmi.min_eig:.3e}, below the margin {_MARGIN:.3e}"
+        f"{lmi.min_eig:.3e}, below the margin {LmiProblem.margin:.3e}"
     )
 
 
@@ -317,7 +308,7 @@ def _synthesize(problem: Problem) -> SynthesisResult:
     # The conditions read only the data, so data that no system could
     # have produced would pass them; raises InconsistentDataError.
     family = compatible_set(problem)
-    _require_anti_stable(problem.known)
+    require_anti_stable(problem.known.A1)
     rank = _rank_x2_minus(problem)
     report = SynthesisReport(rank_X2_minus=rank)
     if rank < problem.n2:
@@ -381,14 +372,13 @@ class VerificationReport:
 
 
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
-    _require_anti_stable(known)
-    tol = 1e-8  # check_output_regulated's output tolerance
+    require_anti_stable(known.A1)
     K1, K2 = regulator.K1, regulator.K2
     A_cl = cset.A2_part + cset.B2_part @ K2
     spread = float(np.linalg.norm(cset.S1.T + cset.S2.T @ K2))
     loop = spectral_info(A_cl)
     residuals = {"closed_loop_spread": spread}
-    passed = loop.is_stable and spread <= tol * (1.0 + float(np.linalg.norm(K2)))
+    passed = loop.is_stable and within_tolerance(spread, float(np.linalg.norm(K2)))
     if loop.is_stable:
         # The member at N has T(N) = T0 + sum_ij N_ij T_ij, where T_ij
         # solves the Sylvester equation for e_i c_j^T and c_j^T is row j
@@ -403,8 +393,8 @@ def _verify_regulator(regulator, cset, known) -> VerificationReport:
         norms = np.linalg.norm(outputs, axis=(1, 2))
         residuals["output_offset"] = float(norms[0])
         residuals["output_direction"] = float(norms[1:].max(initial=0.0))
-        bound = tol * (1.0 + float(np.linalg.norm(known.D1)))
-        passed = passed and bool(norms.max() <= bound)
+        reference = float(np.linalg.norm(known.D1))
+        passed = passed and bool(within_tolerance(norms.max(), reference))
     return VerificationReport(
         passed=passed, rho_bound=loop.spectral_radius, residuals=residuals
     )
@@ -424,11 +414,11 @@ def verify_regulator(
     stable; and the output D1 + E K1 + (D2 + E K2) T(N) vanishes for
     every N, where T(N) solves T A1 - A_cl T = A3(N) + B2(N) K1, checked
     at N = 0 and along each of the n2 * r unit directions of N, all
-    with one Sylvester operator.  The closed-loop spread may reach
-    1e-8 * (1 + ||K2||) and each output residual the tolerance of
-    check_output_regulated, 1e-8 * (1 + ||D1||).  cset supplies
-    the family; known supplies A1 and the output matrices.  samples is
-    accepted for older callers and ignored.
+    with one Sylvester operator.  The closed-loop spread is held to
+    within_tolerance of ||K2|| and each output residual to
+    within_tolerance of ||D1||, as in check_output_regulated.  cset
+    supplies the family; known supplies A1 and the output matrices.
+    samples is accepted for older callers and ignored.
     """
     return _verify_regulator(regulator, cset, known)
 

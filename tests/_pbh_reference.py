@@ -7,7 +7,8 @@ solver's scaling and cutoff.
 
 import numpy as np
 
-from ddreg.lmi import _PBH_RTOL, _UNIT_CIRCLE_TOL
+from ddreg.lmi import _PBH_RTOL
+from ddreg.model import UNIT_CIRCLE_MARGIN as _UNIT_CIRCLE_TOL
 
 
 def stuck_mode_reference(Z, Xp, N):

@@ -498,7 +498,9 @@ def test_simulate_reports_a_diverged_member_without_a_warning(tmp_path, capsys):
         ("--radius", "inf"),
         ("--radius", "-1"),
         ("--horizon", "5"),
+        ("--horizon", "1000000000"),
         ("--members", "0"),
+        ("--members", "101"),
         ("--x1-0", "nan,0,1"),
         ("--x2-0", "1,inf"),
     ],
@@ -641,3 +643,37 @@ def test_bad_gen_data_flags_exit_one_naming_the_flag(flag, value, system_path, t
     assert f"argument {flag}:" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("simulate", "--x1-0", "1,2", "--x1-0 must have length 3, got 2"),
+        ("simulate", "--x2-0", "1,2,3", "--x2-0 must have length 2, got 3"),
+        ("gen-data", "--x1-0", "1,2", "--x1-0 must have length 3, got 2"),
+        ("gen-data", "--x2-0", "1,2", "--x2-0 must have length 1, got 2"),
+    ],
+)
+def test_a_state_of_the_wrong_length_fails_before_any_output(
+    command, flag, value, message, planar_path, system_path, tmp_path, capsys
+):
+    out_path = tmp_path / "out"
+    if command == "simulate":
+        reg_path = tmp_path / "regulator.json"
+        assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+        capsys.readouterr()
+        argv = ["simulate", str(planar_path), str(reg_path), "--out", str(out_path)]
+    else:
+        argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "4"]
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_simulate_help_states_the_flag_ranges(capsys):
+    assert main(["simulate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(1 to 100)" in help_text
+    assert "(19 to 10000)" in help_text

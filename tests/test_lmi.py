@@ -36,7 +36,7 @@ def test_scalar_feasible_reaches_analytic_optimum():
     # For X = 1, Z = z with |z| < 1 the block at theta is
     # [[theta, z theta], [z theta, theta]] with smallest eigenvalue
     # theta (1 - |z|); the optimum on the theta = rho sphere is known.
-    problem = LmiProblem(X=np.array([[1.0]]), Z=np.array([[0.5]]), rho=1e3)
+    problem = LmiProblem(X=np.array([[1.0]]), Z=np.array([[0.5]]))
     solution = solve_lmi(problem)
     assert solution.found
     assert abs(solution.min_eig - 0.5 * problem.rho) < 1e-6 * problem.rho
@@ -203,12 +203,6 @@ def test_rank_deficient_x_cannot_be_feasible():
     assert solution.min_eig == float("-inf")
 
 
-def test_budget_limits_iterations():
-    problem = scalar_instance()
-    solution = solve_lmi(problem, budget=300, n_starts=3)
-    assert solution.iterations <= 300
-
-
 def test_solution_norm_matches_rho():
     problem = scalar_instance()
     solution = solve_lmi(problem)
@@ -227,8 +221,6 @@ def test_problem_validation():
             Z=np.ones((1, 2)),
             equality_constraints=(np.ones((1, 3)),),
         )
-    with pytest.raises(ValueError):
-        LmiProblem(X=np.ones((1, 1)), Z=np.ones((1, 1)), rho=0.0)
 
 
 def test_check_theta_reports_constraint_violation():

@@ -1,5 +1,6 @@
-"""Data containers, validation and the compatible family."""
+"""Data containers, validation, the compatible family and the numerical policy."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from ddreg import (
     compatible_set_unknown_a3,
     member_at,
 )
+from ddreg import analysis, lmi, simulation
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
+from ddreg.model import RESIDUAL_RTOL, within_tolerance
 
 from _instances import inconsistent_problem, regulable_instance
 
@@ -254,3 +257,29 @@ def test_compatible_set_shapes():
     assert cset.B2_part.shape == (problem.n2, problem.m)
     assert cset.S1.shape == (problem.n2, cset.r)
     assert cset.S2.shape == (problem.m, cset.r)
+
+
+@pytest.mark.parametrize("reference", [0.0, 1.0, 3.7e5])
+def test_within_tolerance_holds_exactly_at_its_bound(reference):
+    bound = RESIDUAL_RTOL * (1.0 + reference)
+    assert within_tolerance(bound, reference)
+    assert not within_tolerance(np.nextafter(bound, np.inf), reference)
+
+
+def test_no_tolerance_is_a_parameter():
+    parameters = {
+        compatible_set: ["problem"],
+        compatible_set_unknown_a3: ["problem"],
+        analysis.spectral_info: ["M"],
+        analysis.solve_sylvester: ["A1", "A2", "A3"],
+        analysis.check_output_regulated: ["A1", "A2", "A3", "D1", "D2"],
+        analysis.solve_classical_regulator: ["A1", "A2", "B2", "A3", "D1", "D2", "E"],
+        simulation.decay_check: ["trajectory", "rho_bound"],
+        lmi.solve_lmi: ["problem", "seed"],
+        lmi.LmiProblem: ["X", "Z", "equality_constraints"],
+    }
+    for function, names in parameters.items():
+        assert list(inspect.signature(function).parameters) == names, function.__name__
+    for name in ("rho", "margin"):
+        with pytest.raises(TypeError):
+            lmi.LmiProblem(X=np.eye(1), Z=np.eye(1), **{name: 1.0})

@@ -1,8 +1,8 @@
 """End-to-end informativity decisions and gain synthesis."""
 
-import dataclasses
 import importlib
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +13,17 @@ from ddreg import (
     AntiStabilityError,
     InconsistentDataError,
     KnownMatrices,
+    LmiProblem,
     ProblemData,
     Regulator,
     build_problem,
     check_condition1,
     check_condition2,
     check_endo_stabilization,
+    check_output_regulated,
     compatible_set,
     compatible_set_unknown_a3,
+    solve_classical_regulator,
     spectral_info,
     synthesize,
     synthesize_unknown_a3,
@@ -188,6 +191,30 @@ def test_stable_exosystem_is_rejected():
         synthesize(problem)
 
 
+def test_every_layer_rejects_a_stable_exosystem_with_one_message():
+    instance = regulable_instance(1)
+    result = synthesize(instance.problem)
+    known = replace(instance.problem.known, A1=0.5 * instance.problem.known.A1)
+    system = instance.system
+    calls = [
+        lambda: synthesize(build_problem(instance.problem.data, known)),
+        lambda: verify_regulator(result.regulator, result.family, known),
+        lambda: check_output_regulated(known.A1, system.A2, system.A3, known.D1, known.D2),
+        lambda: solve_classical_regulator(
+            known.A1, system.A2, system.B2, system.A3, known.D1, known.D2, known.E
+        ),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(AntiStabilityError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert messages == {
+        "A1 must be anti-stable: stable exosystem modes decay on their own "
+        "and make the data uninformative about regulation"
+    }
+
+
 @pytest.mark.parametrize("synth", [synthesize, synthesize_unknown_a3])
 def test_data_no_system_could_have_produced_is_rejected(synth):
     # check_condition2 reads only the data and holds on them in both modes.
@@ -329,10 +356,7 @@ def test_condition1_names_the_mode_no_right_inverse_can_move():
 
 
 def test_a_missed_margin_is_not_reported_as_infeasibility(monkeypatch):
-    solve = ddreg.synthesis.solve_lmi
-    monkeypatch.setattr(
-        ddreg.synthesis, "solve_lmi", lambda lp: solve(dataclasses.replace(lp, margin=1e9))
-    )
+    monkeypatch.setattr(LmiProblem, "margin", 1e9)
     outcome = check_condition2(fixture_problem("scalar"))
     assert not outcome.holds
     assert outcome.lmi.witness is None
