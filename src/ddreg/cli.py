@@ -229,20 +229,23 @@ def cmd_simulate(args, family=None) -> int:
     members = sample_members(family, args.members, args.radius, seed)
     rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
-    blocks = []
-    for index, (A2, B2, A3) in enumerate(members):
-        system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
-        trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
-        result = decay_check(trajectory, rho_bound)
-        radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
-        verdict = "PASS" if result.passes else "FAIL"
-        print(
-            f"member {index}: radius={radius:.6f} decay={verdict} "
-            f"rate={result.fitted_rate:.4f} terminal={result.terminal_norm:.3e}"
-        )
-        blocks.append((index, trajectory))
-    write_trajectories_csv(args.out, blocks)
-    print(f"wrote {args.out} ({len(blocks)} member blocks, horizon {horizon})")
+
+    def blocks():
+        # Simulated one member at a time, as the CSV writer asks for it.
+        for index, (A2, B2, A3) in enumerate(members):
+            system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
+            trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
+            result = decay_check(trajectory, rho_bound)
+            radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
+            verdict = "PASS" if result.passes else "FAIL"
+            print(
+                f"member {index}: radius={radius:.6f} decay={verdict} "
+                f"rate={result.fitted_rate:.4f} terminal={result.terminal_norm:.3e}"
+            )
+            yield index, trajectory
+
+    write_trajectories_csv(args.out, blocks())
+    print(f"wrote {args.out} ({len(members)} member blocks, horizon {horizon})")
     return 0 if verification.passed else 2
 
 

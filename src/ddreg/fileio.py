@@ -9,12 +9,15 @@ from, so a later simulation can flag mismatched inputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -56,12 +59,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _atomic_write_text(path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path) -> Iterator[TextIO]:
+    """A text handle on a temp file that replaces path when the block ends cleanly."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -69,6 +74,11 @@ def _atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_write_text(path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _parse_json(text: str, origin: str) -> dict:
@@ -334,36 +344,27 @@ def load_system(path) -> tuple[TrueSystem, KnownMatrices]:
     return system, known
 
 
-def write_trajectories_csv(path, blocks: list[tuple[int, Trajectory]]) -> None:
+def write_trajectories_csv(path, blocks: Iterable[tuple[int, Trajectory]]) -> None:
     """Write member trajectories as one CSV, one block per member.
 
     Columns: t, exosystem states, endosystem states, inputs, outputs and
-    the sampled member id.
+    the sampled member id; the first block sets the header.  Each block
+    is written as it arrives, so a generator of blocks keeps one
+    trajectory in memory at a time.  Raises ValueError, and writes no
+    file, when there are no blocks.
     """
-    if not blocks:
-        raise ValueError("no trajectories to write")
-    first = blocks[0][1]
-    n1, n2 = first.x1.shape[0], first.x2.shape[0]
-    m, p = first.u.shape[0], first.z.shape[0]
-    header = (
-        ["t"]
-        + [f"x1_{i + 1}" for i in range(n1)]
-        + [f"x2_{i + 1}" for i in range(n2)]
-        + [f"u_{i + 1}" for i in range(m)]
-        + [f"z_{i + 1}" for i in range(p)]
-        + ["member_id"]
-    )
-    lines = [",".join(header)]
-    for member_id, trajectory in blocks:
-        for t in range(trajectory.horizon + 1):
-            values = np.concatenate(
-                [
-                    trajectory.x1[:, t],
-                    trajectory.x2[:, t],
-                    trajectory.u[:, t],
-                    trajectory.z[:, t],
-                ]
-            )
-            row = [str(t)] + [repr(float(v)) for v in values] + [str(member_id)]
-            lines.append(",".join(row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        empty = True
+        for member_id, trajectory in blocks:
+            parts = (trajectory.x1, trajectory.x2, trajectory.u, trajectory.z)
+            if empty:
+                columns = ["t"]
+                for name, part in zip(("x1", "x2", "u", "z"), parts):
+                    columns += [f"{name}_{i + 1}" for i in range(part.shape[0])]
+                handle.write(",".join(columns + ["member_id"]) + "\n")
+                empty = False
+            # tolist() yields Python floats, whose repr is the full-precision text.
+            for t, row in enumerate(np.concatenate(parts).T.tolist()):
+                handle.write(f"{t},{','.join(map(repr, row))},{member_id}\n")
+        if empty:
+            raise ValueError("no trajectories to write")

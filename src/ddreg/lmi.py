@@ -12,10 +12,11 @@ equality constraints C_k Theta = 0 restrict the admissible right-inverses
 Every admissible right-inverse is Xp + N F, with Xp solving
 [X; C_k] Xp = [I; 0] and N spanning the null space of [X; C_k], so
 Z X^dagger = Z Xp + Z N F and a stabilizing one exists iff (Z Xp, Z N)
-is stabilizable.  A Popov-Belevitch-Hautus rank test decides this
-exactly; when it passes, a discrete Riccati design gives F, and the
-Lyapunov solution P of the closed loop gives the certificate
-Theta = X^dagger P.
+is stabilizable.  The decision constructs first: a discrete Riccati
+design gives F, and the Lyapunov solution P of the closed loop gives the
+certificate Theta = X^dagger P, whose block margin proves "yes".  Only
+when that construction fails does a Popov-Belevitch-Hautus rank test
+run, to name the unstable mode that no F moves.
 
 Both equations are solved by one structure-preserving doubling
 iteration: Anderson's doubling for the discrete Riccati equation
@@ -27,6 +28,7 @@ a Stein step needs no solve, only two products and a squaring of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -244,10 +246,12 @@ def _doubling(A: np.ndarray, G: np.ndarray | None, rtol: float) -> np.ndarray:
             step = A.T @ H @ WA
             A = A @ WA
             H = H + step
-            size = np.linalg.norm(H)
-            if not np.isfinite(size):
+            # numpy's own Frobenius norm of these C-contiguous arrays.
+            h, d = H.ravel(), step.ravel()
+            size = math.sqrt(h @ h)
+            if not math.isfinite(size):
                 break
-            if np.linalg.norm(step) <= rtol * size:
+            if math.sqrt(d @ d) <= rtol * size:
                 # Symmetric up to roundoff; X Theta = P must be symmetric.
                 return 0.5 * (H + H.T)
     raise np.linalg.LinAlgError("doubling iteration did not converge")
@@ -268,39 +272,58 @@ def _not_found(min_eig: float, witness: Witness | None = None) -> LmiSolution:
     )
 
 
+def _certificate(Z, Xp, N, rho: float) -> np.ndarray:
+    """Theta = X^dagger P for the Riccati right-inverse X^dagger, at norm rho.
+
+    Raises LinAlgError or ValueError when a solve fails or Theta is not
+    finite.
+    """
+    X_dagger = Xp + N @ _riccati_gain(Z @ Xp, Z @ N)
+    A_cl = Z @ X_dagger
+    # P solves the Lyapunov equation of A_cl / gamma with gamma halfway
+    # between the spectral radius and 1.  Then
+    # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
+    # block well conditioned even when A_cl is far from normal.
+    gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
+    P = _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
+    Theta = X_dagger @ P
+    size = np.linalg.norm(Theta)
+    if not math.isfinite(size):
+        raise np.linalg.LinAlgError("certificate is not finite")
+    Theta *= rho / size
+    return Theta
+
+
 def solve_lmi(problem: LmiProblem, seed: int | None = None) -> LmiSolution:
     """Decide the instance exactly and construct a certificate.
 
-    The returned Theta is rescaled to Frobenius norm rho, which leaves
-    X_dagger unchanged and maximizes the eigenvalue margin within the
-    bound.  seed is accepted for compatibility and ignored.
+    A certificate whose block margin reaches LmiProblem.margin proves
+    "yes".  The PBH test runs only when the construction fails, and a
+    stuck mode it finds is the witness of "no".  The returned Theta is
+    rescaled to Frobenius norm rho, which leaves X_dagger unchanged and
+    maximizes the eigenvalue margin within the bound.  seed is accepted
+    for compatibility and ignored.
     """
     X, Z = problem.X, problem.Z
     family = _right_inverses(problem)
     if family is None:
         return _not_found(-np.inf, Witness())
     Xp, N = family
+    try:
+        Theta = _certificate(Z, Xp, N, problem.rho)
+    except (np.linalg.LinAlgError, ValueError):
+        min_eig = 0.0
+    else:
+        min_eig = _block_min_eig(X, Z, Theta)
+        if min_eig >= problem.margin:
+            X_dagger = np.linalg.solve((X @ Theta).T, Theta.T).T
+            return LmiSolution(
+                found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger
+            )
     mode = _stuck_mode(Z, Xp, N)
     if mode is not None:
         return _not_found(0.0, Witness(mode))
-    try:
-        X_dagger = Xp + N @ _riccati_gain(Z @ Xp, Z @ N)
-        A_cl = Z @ X_dagger
-        # P solves the Lyapunov equation of A_cl / gamma with gamma
-        # halfway between the spectral radius and 1.  Then
-        # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
-        # block well conditioned even when A_cl is far from normal.
-        gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
-        P = _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
-    except (np.linalg.LinAlgError, ValueError):
-        return _not_found(0.0)
-    Theta = X_dagger @ P
-    Theta *= problem.rho / np.linalg.norm(Theta)
-    min_eig = _block_min_eig(X, Z, Theta)
-    if not min_eig >= problem.margin:
-        return _not_found(min_eig)
-    X_dagger = np.linalg.solve((X @ Theta).T, Theta.T).T
-    return LmiSolution(found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger)
+    return _not_found(min_eig)
 
 
 def check_theta(problem: LmiProblem, Theta) -> ThetaCheck:

@@ -292,9 +292,13 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
     else:
         G = np.vstack([data.X2_minus, data.U_minus])
         Z, rhs = data.X2_plus - known.A3 @ data.X1_minus, "||X2_plus - A3 X1_minus||"
+    # One SVD gives the rank (with the cutoff of lstsq(rcond=None)), the
+    # least-squares solution M = Z G^+ and the kernel basis S.
+    U, s, Vh = np.linalg.svd(G)
+    r = rank_from_singular_values(s, G.shape)
+    S = U[:, r:]
     with np.errstate(over="ignore", invalid="ignore"):
-        sol, *_ = np.linalg.lstsq(G.T, Z.T, rcond=None)
-        M = sol.T
+        M = ((Z @ Vh[:r].T) / s[:r]) @ U[:, :r].T
         residual = float(np.linalg.norm(M @ G - Z))
         reference = float(np.linalg.norm(Z))
     if not np.isfinite(reference) or not np.isfinite(residual):
@@ -307,8 +311,6 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
             f"no system matches the measured transitions: residual {residual:.3e} "
             f"exceeds {RESIDUAL_RTOL:.1e} * (1 + {rhs})"
         )
-    U, s, _ = np.linalg.svd(G)
-    S = U[:, rank_from_singular_values(s, G.shape) :]
     if known.A3 is None:
         A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
     else:
@@ -330,8 +332,10 @@ def compatible_set(problem: Problem) -> CompatibleSet:
     Solves [A2 B2] [X2_minus; U_minus] = X2_plus - A3 X1_minus when A3
     is known, and [A2 B2 A3] [X2_minus; U_minus; X1_minus] = X2_plus
     when it is None, in the least-squares sense, and attaches the kernel
-    parametrization.  Raises InconsistentDataError when the residual
-    fails within_tolerance against ||right-hand side||_F.
+    parametrization; one SVD of the stacked regressors gives their rank,
+    the least-squares fit and the kernel basis.  Raises
+    InconsistentDataError when the residual fails within_tolerance
+    against ||right-hand side||_F.
     """
     return _compatible_set(problem)
 

@@ -1,5 +1,7 @@
 """Problem, regulator and trajectory file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,8 +230,37 @@ def test_trajectory_csv_layout(tmp_path):
 
 
 def test_trajectory_csv_rejects_empty_block_list(tmp_path):
-    with pytest.raises(ValueError):
-        write_trajectories_csv(tmp_path / "empty.csv", [])
+    for blocks in ([], (block for block in [])):
+        with pytest.raises(ValueError):
+            write_trajectories_csv(tmp_path / "empty.csv", blocks)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trajectory_csv_streams_a_generator_of_blocks(tmp_path):
+    problem = regulable_instance(3).problem
+    regulator = synthesize(problem).regulator
+    system = regulable_instance(3).system
+    x1_0, x2_0 = np.ones(problem.n1), np.ones(problem.n2)
+
+    def blocks(count):
+        for member_id in range(count):
+            yield member_id, closed_loop_sim(
+                system, problem.known, regulator, x1_0, x2_0, horizon=2000
+            )
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            write_trajectories_csv(tmp_path / f"{count}.csv", blocks(count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = peak(1), peak(20)
+    assert many <= 3 * one
+    text = (tmp_path / "20.csv").read_text()
+    assert text.count("\n") == 1 + 20 * 2001
+    assert text.endswith(",19\n")
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -9,11 +9,22 @@ import scipy.linalg
 from ddreg import (
     DimensionError,
     LmiProblem,
+    TrueSystem,
     check_theta,
+    generate_data,
     solve_lmi,
     spectral_info,
 )
-from ddreg.lmi import _DARE_RTOL, _STEIN_RTOL, _doubling, _stuck_mode, block_matrix
+from ddreg.lmi import (
+    _DARE_RTOL,
+    _STEIN_RTOL,
+    _block_min_eig,
+    _certificate,
+    _doubling,
+    _right_inverses,
+    _stuck_mode,
+    block_matrix,
+)
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
 
@@ -147,6 +158,29 @@ def test_pbh_returns_the_first_stuck_one_of_two_unstable_modes(moved, expected):
     solution = solve_lmi(LmiProblem(X=X, Z=Z))
     assert not solution.found
     assert solution.witness.eigenvalue == expected
+
+
+def test_a_missed_margin_still_runs_the_pbh_test():
+    # The data of `gen-data --tau 5 --seed 1` on A2 = [[2, 0], [0.5, 0.3]],
+    # B2 = [[0], [1]]: the mode 2 is out of reach of the input, yet the
+    # Riccati gain converges and the certificate misses the margin by a
+    # hair instead of failing to build.
+    system = TrueSystem(
+        A1=np.array([[1.0]]),
+        A2=np.array([[2.0, 0.0], [0.5, 0.3]]),
+        B2=np.array([[0.0], [1.0]]),
+        A3=np.array([[1.0], [0.0]]),
+    )
+    inputs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(1, 5))
+    data = generate_data(system, np.ones(1), np.ones(2), inputs)
+    problem = LmiProblem(X=data.X2_minus, Z=data.X2_plus - system.A3 @ data.X1_minus)
+    Xp, N = _right_inverses(problem)
+    Theta = _certificate(problem.Z, Xp, N, problem.rho)
+    assert _block_min_eig(problem.X, problem.Z, Theta) < problem.margin
+    solution = solve_lmi(problem)
+    assert not solution.found
+    assert solution.witness.eigenvalue == pytest.approx(2.0)
+    assert solution.min_eig == 0.0
 
 
 def test_solver_certifies_stable_closed_loop():

@@ -110,6 +110,21 @@ def test_the_batched_pbh_test_returns_the_mode_of_the_per_eigenvalue_loop(proble
 
 
 @PROPERTY_SETTINGS
+@given(lmi_problems())
+def test_a_certificate_and_a_witness_never_disagree(problem):
+    # The PBH test runs only when the construction fails; here it runs on
+    # every instance, so a found certificate that PBH would contradict, or
+    # a witness other than PBH's first stuck mode, shows.
+    Xp, N = _right_inverses(problem)
+    mode = _stuck_mode(problem.Z, Xp, N)
+    solution = solve_lmi(problem)
+    if solution.found:
+        assert mode is None
+    elif solution.witness is not None:
+        assert solution.witness.eigenvalue == mode
+
+
+@PROPERTY_SETTINGS
 @given(lmi_problems(), st.floats(0.25, 4.0))
 def test_the_decision_is_invariant_under_positive_scaling(problem, c):
     scaled = LmiProblem(

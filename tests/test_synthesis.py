@@ -365,6 +365,21 @@ def test_a_missed_margin_is_not_reported_as_infeasibility(monkeypatch):
     assert "no stabilizing right-inverse exists" not in outcome.reasons[0]
 
 
+def test_informative_decisions_never_run_the_pbh_test(monkeypatch):
+    # A certificate that meets the margin proves "yes" on its own; the PBH
+    # test only explains a failure.
+    def stuck_mode(*args):
+        raise AssertionError("the PBH test ran on an informative decision")
+
+    monkeypatch.setattr(ddreg.lmi, "_stuck_mode", stuck_mode)
+    problems = [fixture_problem("scalar"), fixture_problem("planar")]
+    problems += [regulable_instance(seed).problem for seed in range(20)]
+    for problem in problems:
+        assert synthesize(problem).regulator is not None
+    for seed in range(5):
+        assert synthesize_unknown_a3(coupling_free_instance(seed).problem).regulator is not None
+
+
 def test_synthesize_requires_the_coupling_matrix():
     problem = withheld_coupling(fixture_problem("scalar"))
     with pytest.raises(ValueError, match="--unknown-a3"):
