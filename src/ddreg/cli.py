@@ -6,16 +6,16 @@ simulate (verify a regulator file the same way, then write a
 closed-loop CSV over sampled members), example (run a bundled worked
 example end to end) and gen-data (collect a problem file from a true
 system).  Exit codes: 0 success or informative, 2 not informative or a
-failed verification, 1 usage or input errors.
+failed verification, 1 usage or input errors.  An error caused by a
+file names that file (fileio.naming), whether it comes from reading,
+parsing or deciding on its contents.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .fileio import (
     load_problem,
     load_regulator,
     load_system,
+    naming,
     save_problem,
     save_regulator,
     write_trajectories_csv,
@@ -42,7 +43,7 @@ from .simulation import (
     horizon_for_radius,
     sample_members,
 )
-from .synthesis import synthesize, synthesize_unknown_a3, verify_regulator
+from .synthesis import require_gain_shapes, synthesize, synthesize_unknown_a3, verify_regulator
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -69,16 +70,6 @@ def _finite_nonnegative(text: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DDREG_SEED", "0")
-    try:
-        return _int_in(0)(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ProblemFileError(f"DDREG_SEED must be an integer >= 0, got {env!r}") from None
 
 
 def _finite(values: np.ndarray, text: str) -> np.ndarray:
@@ -117,15 +108,6 @@ def _initial_state(flag: str, value, n: int):
     return value
 
 
-@contextmanager
-def _naming(origin: str):
-    """Prefix a data error raised in the block with its problem file."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ProblemFileError(f"{origin}: {exc}") from None
-
-
 def _fmt(matrix) -> str:
     return str(np.asarray(matrix).tolist())
 
@@ -134,11 +116,11 @@ def _residual_text(residuals) -> str:
     return "".join(f"; {k}={v:.3e}" for k, v in sorted(residuals.items()))
 
 
-def _condition_line(name, slot) -> str:
-    if not slot.attempted:
+def _condition_line(name, outcome) -> str:
+    if outcome is None:
         return f"{name}: not attempted"
-    verdict = "holds" if slot.holds else "fails"
-    return f"{name}: {verdict}" + _residual_text(slot.residuals)
+    verdict = "holds" if outcome.holds else "fails"
+    return f"{name}: {verdict}" + _residual_text(outcome.diagnostics)
 
 
 def _print_verification(family, verification) -> None:
@@ -171,7 +153,7 @@ def _print_report(doc, result) -> None:
 
 def _run_synthesis(doc, unknown_a3: bool):
     run = synthesize_unknown_a3 if unknown_a3 else synthesize
-    with _naming(doc.origin):
+    with naming(doc.origin):
         return run(doc.problem)
 
 
@@ -203,11 +185,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args, family=None) -> int:
-    seed = _resolve_seed(args.seed)
     doc = load_problem(args.problem)
     reg_doc = load_regulator(args.regulator)
     regulator = reg_doc.regulator
     problem = doc.problem
+    with naming(args.regulator):
+        require_gain_shapes(regulator, problem.known)
     x1_0 = _initial_state("--x1-0", args.x1_0, problem.n1)
     x2_0 = _initial_state("--x2-0", args.x2_0, problem.n2)
     if reg_doc.problem_sha256 and reg_doc.problem_sha256 != doc.sha256:
@@ -217,8 +200,8 @@ def cmd_simulate(args, family=None) -> int:
             file=sys.stderr,
         )
     known = problem.known
-    print(f"seed: {seed}")
-    with _naming(doc.origin):
+    print(f"seed: {args.seed}")
+    with naming(doc.origin):
         # cmd_example passes the family of its synthesis.
         if family is None:
             if regulator.provenance.endswith("_unknown_a3"):
@@ -226,7 +209,7 @@ def cmd_simulate(args, family=None) -> int:
             family = compatible_set(problem)
         verification = verify_regulator(regulator, family, known)
     _print_verification(family, verification)
-    members = sample_members(family, args.members, args.radius, seed)
+    members = sample_members(family, args.members, args.radius, args.seed)
     rho_bound = verification.rho_bound
     horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
 
@@ -258,7 +241,6 @@ def _print_reference_comparison(name: str, computed: dict) -> None:
 
 
 def cmd_example(args) -> int:
-    seed = _resolve_seed(args.seed)
     name = args.name
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,23 +276,22 @@ def cmd_example(args) -> int:
         horizon=None,
         x1_0=REFERENCE[name]["x1_0"],
         x2_0=REFERENCE[name]["x2_0"],
-        seed=seed,
+        seed=args.seed,
         radius=5.0,
     )
     return cmd_simulate(simulate_args, family)
 
 
 def cmd_gen_data(args) -> int:
-    seed = _resolve_seed(args.seed)
     system, known = load_system(args.system)
     x1_0 = _initial_state("--x1-0", args.x1_0, system.n1)
     x2_0 = _initial_state("--x2-0", args.x2_0, system.n2)
-    print(f"seed: {seed}")
+    print(f"seed: {args.seed}")
     inputs = args.inputs
     if inputs is None:
         if args.tau is None:
             raise ProblemFileError("either --inputs or --tau is required")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         inputs = rng.uniform(-1.0, 1.0, size=(system.m, args.tau))
     if args.tau is not None and inputs.shape[1] != args.tau:
         raise ProblemFileError(
@@ -362,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state, comma-separated")
     p_sim.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state, comma-separated")
     p_sim.add_argument("--radius", type=_finite_nonnegative, default=5.0, help="kernel coordinate range for sampling")
-    p_sim.add_argument("--seed", type=_int_in(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
+    p_sim.add_argument("--seed", type=_int_in(0), default=0, help="sampling seed (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="run a bundled example end to end")
     p_ex.add_argument("name", choices=EXAMPLE_NAMES)
     p_ex.add_argument("--outdir", default=".", help="directory for the emitted files")
-    p_ex.add_argument("--seed", type=_int_in(0), default=None, help="sampling seed (fallback: DDREG_SEED, then 0)")
+    p_ex.add_argument("--seed", type=_int_in(0), default=0, help="sampling seed (default 0)")
     p_ex.set_defaults(func=cmd_example)
 
     p_gen = sub.add_parser("gen-data", help="simulate a true system and emit a problem file")
@@ -378,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--inputs", type=_matrix, default=None, help="input matrix, rows joined by ';'")
     p_gen.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state")
     p_gen.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state")
-    p_gen.add_argument("--seed", type=_int_in(0), default=None, help="seed for random inputs (fallback: DDREG_SEED, then 0)")
+    p_gen.add_argument("--seed", type=_int_in(0), default=0, help="seed for random inputs (default 0)")
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
 
@@ -391,9 +372,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,12 @@
-"""Problem, regulator and trajectory file handling.
+"""Problem, regulator, system and trajectory file handling.
 
-Problem and regulator files are JSON with named matrix fields stored as
-arrays of row arrays; numbers round-trip at full double precision.
-Writes are atomic (temp file then rename).  Regulator files carry the
-tool version and the SHA-256 of the problem file they were produced
+Problem, regulator and system files are JSON with named matrix fields
+stored as arrays of row arrays; numbers round-trip at full double
+precision.  Every matrix is validated by the model type it builds, and
+every error a file causes, from reading it to validating its matrices,
+leaves through naming(), so its message starts with the file it came
+from.  Writes are atomic (temp file then rename).  Regulator files carry
+the tool version and the SHA-256 of the problem file they were produced
 from, so a later simulation can flag mismatched inputs.
 """
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .model import (
+    DimensionError,
     KnownMatrices,
     Problem,
     ProblemData,
@@ -33,6 +37,7 @@ from .simulation import Trajectory, TrueSystem
 
 __all__ = [
     "ProblemFileError",
+    "naming",
     "ProblemDocument",
     "RegulatorDocument",
     "parse_problem",
@@ -48,11 +53,28 @@ __all__ = [
 ]
 
 _PROBLEM_MATRICES = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
+_SYSTEM_MATRICES = ("A1", "A2", "B2", "A3", "D1", "D2", "E")
 _WITNESS_FIELDS = ("W", "Theta", "X_dagger")
 
 
 class ProblemFileError(ValueError):
-    """A problem or regulator file failed to parse or validate."""
+    """A file or a command-line value failed to read, parse or validate."""
+
+
+@contextlib.contextmanager
+def naming(origin) -> Iterator[None]:
+    """Raise an OSError or ValueError of the block as a ProblemFileError naming origin."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemFileError(f"{origin}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ProblemFileError(f"{origin}: {exc}") from None
+
+
+def _read(path) -> str:
+    with naming(path):
+        return Path(path).read_text()
 
 
 def _sha256(text: str) -> str:
@@ -81,46 +103,44 @@ def _atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _parse_json(text: str, origin: str) -> dict:
+# The helpers below raise plain ValueErrors; their callers run them
+# inside naming(), which prefixes the file.
+def _parse_json(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProblemFileError(
-            f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise ValueError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     if not isinstance(doc, dict):
-        raise ProblemFileError(f"{origin}: top level must be a JSON object")
+        raise ValueError("top level must be a JSON object")
     return doc
 
 
-def _matrix_field(doc: dict, key: str, origin: str, required: bool = True):
+def _matrix_field(doc: dict, key: str, required: bool = True):
     if key not in doc or doc[key] is None:
         if required:
-            raise ProblemFileError(f"{origin}: missing matrix field {key!r}")
+            raise ValueError(f"missing matrix field {key!r}")
         return None
     value = doc[key]
     if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
-        raise ProblemFileError(
-            f"{origin}: field {key!r} must be an array of row arrays"
-        )
+        raise ValueError(f"field {key!r} must be an array of row arrays")
     widths = {len(r) for r in value}
     if len(widths) != 1:
-        raise ProblemFileError(f"{origin}: field {key!r} has ragged rows")
+        raise ValueError(f"field {key!r} has ragged rows")
     for row in value:
         for entry in row:
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise ProblemFileError(
-                    f"{origin}: field {key!r} contains a non-numeric entry {entry!r}"
-                )
+                raise ValueError(f"field {key!r} contains a non-numeric entry {entry!r}")
     return np.array(value, dtype=float)
 
 
-def _check_dims(doc: dict, origin: str, shapes: dict[str, int]) -> None:
+def _check_dims(doc: dict, shapes: dict[str, int]) -> None:
     dims = doc.get("dims")
     if dims is None:
         return
     if not isinstance(dims, dict):
-        raise ProblemFileError(f"{origin}: field 'dims' must be an object")
+        raise ValueError("field 'dims' must be an object")
     for key, expected in shapes.items():
         if key not in dims:
             continue
@@ -129,13 +149,9 @@ def _check_dims(doc: dict, origin: str, shapes: dict[str, int]) -> None:
             isinstance(value, float) and value.is_integer()
         )
         if isinstance(value, bool) or not integral:
-            raise ProblemFileError(
-                f"{origin}: dims.{key} must be an integer, got {value!r}"
-            )
+            raise ValueError(f"dims.{key} must be an integer, got {value!r}")
         if int(value) != expected:
-            raise ProblemFileError(
-                f"{origin}: dims.{key} = {value} but the matrices imply {expected}"
-            )
+            raise ValueError(f"dims.{key} = {value} but the matrices imply {expected}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,16 +165,16 @@ class ProblemDocument:
 
 def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
     """Parse problem-file text, cross-checking any declared dims."""
-    doc = _parse_json(text, origin)
-    if "config" in doc:
-        raise ProblemFileError(
-            f"{origin}: field 'config' is no longer supported: the decision "
-            "takes no settings; remove the field"
-        )
-    matrices = {}
-    for key in _PROBLEM_MATRICES:
-        matrices[key] = _matrix_field(doc, key, origin, required=(key != "A3"))
-    try:
+    with naming(origin):
+        doc = _parse_json(text)
+        if "config" in doc:
+            raise ValueError(
+                "field 'config' is no longer supported: the decision "
+                "takes no settings; remove the field"
+            )
+        matrices = {
+            key: _matrix_field(doc, key, required=(key != "A3")) for key in _PROBLEM_MATRICES
+        }
         data = ProblemData(
             U_minus=matrices["U_minus"],
             X1_minus=matrices["X1_minus"],
@@ -172,30 +188,22 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
             E=matrices["E"],
         )
         problem = build_problem(data, known)
-    except ValueError as exc:
-        raise ProblemFileError(f"{origin}: {exc}") from None
-    _check_dims(
-        doc,
-        origin,
-        {
-            "n1": problem.n1,
-            "n2": problem.n2,
-            "m": problem.m,
-            "p": problem.p,
-            "tau": problem.tau,
-        },
-    )
+        _check_dims(
+            doc,
+            {
+                "n1": problem.n1,
+                "n2": problem.n2,
+                "m": problem.m,
+                "p": problem.p,
+                "tau": problem.tau,
+            },
+        )
     return ProblemDocument(problem=problem, sha256=_sha256(text), origin=origin)
 
 
 def load_problem(path) -> ProblemDocument:
     """Read and parse a problem file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
-    return parse_problem(text, origin=str(path))
+    return parse_problem(_read(path), origin=str(path))
 
 
 def _rows(matrix: np.ndarray) -> list[list[float]]:
@@ -278,17 +286,14 @@ def save_regulator(path, regulator: Regulator, problem_sha256: str | None = None
 
 
 def parse_regulator(text: str, origin: str = "<string>") -> RegulatorDocument:
-    doc = _parse_json(text, origin)
-    K1 = _matrix_field(doc, "K1", origin)
-    K2 = _matrix_field(doc, "K2", origin)
-    provenance = doc.get("provenance")
-    if not isinstance(provenance, str):
-        raise ProblemFileError(f"{origin}: missing or non-string field 'provenance'")
-    witnesses = {
-        key: _matrix_field(doc, key, origin, required=False)
-        for key in _WITNESS_FIELDS
-    }
-    try:
+    with naming(origin):
+        doc = _parse_json(text)
+        K1 = _matrix_field(doc, "K1")
+        K2 = _matrix_field(doc, "K2")
+        provenance = doc.get("provenance")
+        if not isinstance(provenance, str):
+            raise ValueError("missing or non-string field 'provenance'")
+        witnesses = {key: _matrix_field(doc, key, required=False) for key in _WITNESS_FIELDS}
         regulator = Regulator(
             K1=K1,
             K2=K2,
@@ -297,8 +302,6 @@ def parse_regulator(text: str, origin: str = "<string>") -> RegulatorDocument:
             Theta=witnesses["Theta"],
             X2_dagger=witnesses["X_dagger"],
         )
-    except ValueError as exc:
-        raise ProblemFileError(f"{origin}: {exc}") from None
     return RegulatorDocument(
         regulator=regulator,
         tool_version=str(doc.get("tool_version", "")),
@@ -307,28 +310,15 @@ def parse_regulator(text: str, origin: str = "<string>") -> RegulatorDocument:
 
 
 def load_regulator(path) -> RegulatorDocument:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
-    return parse_regulator(text, origin=str(path))
+    return parse_regulator(_read(path), origin=str(path))
 
 
 def load_system(path) -> tuple[TrueSystem, KnownMatrices]:
     """Read a true-system file (A1, A2, B2, A3, D1, D2, E)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
-    origin = str(path)
-    doc = _parse_json(text, origin)
-    fields = {
-        key: _matrix_field(doc, key, origin)
-        for key in ("A1", "A2", "B2", "A3", "D1", "D2", "E")
-    }
-    try:
+    text = _read(path)
+    with naming(path):
+        doc = _parse_json(text)
+        fields = {key: _matrix_field(doc, key) for key in _SYSTEM_MATRICES}
         system = TrueSystem(
             A1=fields["A1"], A2=fields["A2"], B2=fields["B2"], A3=fields["A3"]
         )
@@ -339,8 +329,8 @@ def load_system(path) -> tuple[TrueSystem, KnownMatrices]:
             D2=fields["D2"],
             E=fields["E"],
         )
-    except ValueError as exc:
-        raise ProblemFileError(f"{origin}: {exc}") from None
+        if system.m != known.m:
+            raise DimensionError(f"B2 has {system.m} columns but E has {known.m}")
     return system, known
 
 

@@ -14,8 +14,12 @@ every layer, which no function takes as a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .synthesis import ConditionOutcome
 
 __all__ = [
     "DimensionError",
@@ -30,7 +34,6 @@ __all__ = [
     "compatible_set_unknown_a3",
     "member_at",
     "Regulator",
-    "ConditionReport",
     "LmiReport",
     "SynthesisReport",
     "rank_from_singular_values",
@@ -390,15 +393,6 @@ class Regulator:
 
 
 @dataclass
-class ConditionReport:
-    """Diagnostics for one informativity branch."""
-
-    attempted: bool = False
-    holds: bool = False
-    residuals: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class LmiReport:
     """Best certificate margin and its threshold (None if nothing was decided).
 
@@ -412,11 +406,15 @@ class LmiReport:
 
 @dataclass
 class SynthesisReport:
-    """Full account of an informativity decision."""
+    """Full account of an informativity decision.
+
+    condition1 and condition2 hold each branch's outcome, with its
+    diagnostics, reasons and certificate; None when it was not attempted.
+    """
 
     rank_X2_minus: int
-    condition1: ConditionReport = field(default_factory=ConditionReport)
-    condition2: ConditionReport = field(default_factory=ConditionReport)
+    condition1: ConditionOutcome | None = None
+    condition2: ConditionOutcome | None = None
     lmi: LmiReport = field(default_factory=LmiReport)
     chosen_condition: str | None = None
     messages: list[str] = field(default_factory=list)

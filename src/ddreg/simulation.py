@@ -20,6 +20,7 @@ from .model import (
     KnownMatrices,
     ProblemData,
     Regulator,
+    _as_matrix,
     member_at,
 )
 
@@ -56,7 +57,7 @@ class TrueSystem:
 
     def __post_init__(self):
         for name in ("A1", "A2", "B2", "A3"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _as_matrix(name, getattr(self, name)))
         n1, n2 = self.A1.shape[0], self.A2.shape[0]
         if self.A1.shape != (n1, n1) or self.A2.shape != (n2, n2):
             raise DimensionError("A1 and A2 must be square")

@@ -38,7 +38,7 @@ from .analysis import assemble_gains, kron, require_anti_stable, solve_sylvester
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
-    ConditionReport,
+    DimensionError,
     KnownMatrices,
     Problem,
     Regulator,
@@ -61,6 +61,7 @@ __all__ = [
     "check_condition2",
     "synthesize",
     "synthesize_unknown_a3",
+    "require_gain_shapes",
     "verify_regulator",
     "verify_regulator_unknown_a3",
 ]
@@ -277,10 +278,7 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     )
 
 
-def _fold(report: SynthesisReport, slot: ConditionReport, outcome: ConditionOutcome) -> None:
-    slot.attempted = True
-    slot.holds = outcome.holds
-    slot.residuals.update(outcome.diagnostics)
+def _fold(report: SynthesisReport, outcome: ConditionOutcome) -> None:
     if outcome.lmi is not None:
         report.lmi.margin = LmiProblem.margin
         report.lmi.min_eigenvalue = max(report.lmi.min_eigenvalue, outcome.lmi.min_eig)
@@ -318,12 +316,12 @@ def _synthesize(problem: Problem) -> SynthesisResult:
         )
         return SynthesisResult(regulator=None, report=report, family=family)
 
-    second = check_condition2(problem, family)
-    _fold(report, report.condition2, second)
+    report.condition2 = second = check_condition2(problem, family)
+    _fold(report, second)
     if second.holds:
         return _informative(problem, report, "condition2", second, family)
-    first = check_condition1(problem)
-    _fold(report, report.condition1, first)
+    report.condition1 = first = check_condition1(problem)
+    _fold(report, first)
     if first.holds:
         return _informative(problem, report, "condition1", first, family)
     report.messages.append("condition2: " + "; ".join(second.reasons))
@@ -371,7 +369,18 @@ class VerificationReport:
     residuals: dict[str, float]
 
 
+def require_gain_shapes(regulator: Regulator, known: KnownMatrices) -> None:
+    """Raise DimensionError unless K1 is m x n1 and K2 is m x n2."""
+    for name, gain, n in (("K1", regulator.K1, "n1"), ("K2", regulator.K2, "n2")):
+        expected = (known.m, getattr(known, n))
+        if gain.shape != expected:
+            raise DimensionError(
+                f"{name} must have shape (m, {n}) = {expected}, got {gain.shape}"
+            )
+
+
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
+    require_gain_shapes(regulator, known)
     require_anti_stable(known.A1)
     K1, K2 = regulator.K1, regulator.K2
     A_cl = cset.A2_part + cset.B2_part @ K2
@@ -418,7 +427,8 @@ def verify_regulator(
     within_tolerance of ||K2|| and each output residual to
     within_tolerance of ||D1||, as in check_output_regulated.  cset
     supplies the family; known supplies A1 and the output matrices.
-    samples is accepted for older callers and ignored.
+    Raises DimensionError, via require_gain_shapes, when a gain does not
+    fit known.  samples is accepted for older callers and ignored.
     """
     return _verify_regulator(regulator, cset, known)
 

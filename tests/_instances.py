@@ -18,6 +18,7 @@ from ddreg import (
     KnownMatrices,
     Problem,
     ProblemData,
+    Regulator,
     TrueSystem,
     build_problem,
     generate_data,
@@ -183,3 +184,16 @@ def inconsistent_problem() -> Problem:
         E=np.array([[0.0]]),
     )
     return build_problem(data, known)
+
+
+# Planar fixture: m = 1, n1 = 3, n2 = 2.  Each case gives the named gain
+# the wrong shape; with m + 1 rows both gains change and K1 is named.
+WRONG_GAIN_SHAPES = [("K1", (1, 1)), ("K1", (1, 4)), ("K2", (1, 1)), ("K2", (1, 3)), ("K1", (2, 3))]
+PLANAR_GAIN_SHAPES = {"K1": "(m, n1) = (1, 3)", "K2": "(m, n2) = (1, 2)"}
+
+
+def wrong_shape_regulator(field, shape):
+    rows = shape[0]
+    gains = {"K1": np.zeros((rows, 3)), "K2": np.zeros((rows, 2))}
+    gains[field] = np.full(shape, 0.5)
+    return Regulator(provenance="condition2", **gains)

@@ -23,7 +23,14 @@ from ddreg.fileio import (
     save_regulator,
 )
 
-from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
+from _instances import (
+    PLANAR_GAIN_SHAPES,
+    WRONG_GAIN_SHAPES,
+    coupling_free_instance,
+    inconsistent_problem,
+    regulable_instance,
+    wrong_shape_regulator,
+)
 
 
 @pytest.fixture()
@@ -121,17 +128,14 @@ def test_version_flag(capsys):
     assert f"ddreg {ddreg.__version__}" in capsys.readouterr().out
 
 
-def test_seed_env_fallback(system_path, tmp_path, capsys, monkeypatch):
-    out_path = tmp_path / "p.json"
-    argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "3"]
-    monkeypatch.setenv("DDREG_SEED", "7")
-    assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("seed: 7\n")
-    out_path.unlink()
-    monkeypatch.setenv("DDREG_SEED", "seven")
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: DDREG_SEED must be an integer >= 0, got 'seven'\n"
-    assert not out_path.exists()
+def test_the_seed_comes_from_the_flag_alone(system_path, tmp_path, capsys, monkeypatch):
+    paths = tmp_path / "plain.json", tmp_path / "with_env.json"
+    for path, env in zip(paths, (None, "7")):
+        if env is not None:
+            monkeypatch.setenv("DDREG_SEED", env)
+        assert main(["gen-data", str(system_path), "-o", str(path), "--tau", "3"]) == 0
+        assert capsys.readouterr().out.startswith("seed: 0\n")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_check_and_synth_take_no_seed(scalar_path, tmp_path, capsys, monkeypatch):
@@ -145,10 +149,11 @@ def test_check_and_synth_take_no_seed(scalar_path, tmp_path, capsys, monkeypatch
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+# --seed is the only source of the seed; the parameter keeps the test ids.
+@pytest.mark.parametrize("source", ["flag"])
 @pytest.mark.parametrize("command", ["simulate", "example", "gen-data"])
 def test_a_negative_seed_fails_before_any_work(
-    command, source, planar_path, system_path, tmp_path, capsys, monkeypatch
+    command, source, planar_path, system_path, tmp_path, capsys
 ):
     reg_path = tmp_path / "regulator.json"
     assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
@@ -159,15 +164,10 @@ def test_a_negative_seed_fails_before_any_work(
         "example": ["example", "planar", "--outdir", str(tmp_path / "example")],
         "gen-data": ["gen-data", str(system_path), "-o", str(tmp_path / "p.json"), "--tau", "3"],
     }[command]
-    if source == "flag":
-        argv += ["--seed", "-1"]
-        message = "argument --seed: must be at least 0, got -1"
-    else:
-        monkeypatch.setenv("DDREG_SEED", "-1")
-        message = "error: DDREG_SEED must be an integer >= 0, got '-1'"
+    argv += ["--seed", "-1"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert "argument --seed: must be at least 0, got -1" in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
 
@@ -351,6 +351,26 @@ def test_a_malformed_matrix_field_exits_one_naming_file_and_field(field, case, t
     assert "Traceback" not in err
 
 
+_SYSTEM_FIELDS = ("A1", "A2", "B2", "A3", "D1", "D2", "E")
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("field", _SYSTEM_FIELDS)
+def test_a_malformed_system_field_exits_one_naming_file_and_field(
+    field, case, system_path, tmp_path, capsys
+):
+    doc = json.loads(system_path.read_text())
+    doc[field] = _MALFORMED[case](doc[field])
+    system_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "p.json"
+    assert main(["gen-data", str(system_path), "-o", str(out_path), "--tau", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {system_path}: "), captured.err
+    assert re.search(rf"\b{field}\b", captured.err), captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_check_runs_without_importing_scipy(planar_path):
     # A fresh interpreter, so that modules imported by the tests do not count.
     script = (
@@ -369,6 +389,21 @@ def test_check_runs_without_importing_scipy(planar_path):
     assert run.returncode == 0, run.stderr
     assert "via condition" in run.stdout
     assert "scipy modules: []" in run.stdout
+
+
+@pytest.mark.parametrize("field, shape", WRONG_GAIN_SHAPES, ids=str)
+def test_simulate_names_the_regulator_file_and_the_gain_of_the_wrong_shape(
+    field, shape, planar_path, tmp_path, capsys
+):
+    reg_path, out_path = tmp_path / "regulator.json", tmp_path / "t.csv"
+    save_regulator(reg_path, wrong_shape_regulator(field, shape))
+    argv = ["simulate", str(planar_path), str(reg_path), "--out", str(out_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    message = f"{field} must have shape {PLANAR_GAIN_SHAPES[field]}, got {shape}"
+    assert captured.err == f"error: {reg_path}: {message}\n"
+    assert captured.out == ""
+    assert not out_path.exists()
 
 
 def test_simulate_end_to_end(planar_path, tmp_path, capsys):

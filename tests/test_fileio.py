@@ -1,5 +1,6 @@
 """Problem, regulator and trajectory file round trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,14 @@ def test_load_system_round_trip(tmp_path):
 def test_load_problem_missing_file():
     with pytest.raises(ProblemFileError):
         load_problem("/nonexistent/problem.json")
+
+
+@pytest.mark.parametrize("load", [load_problem, load_regulator, load_system])
+def test_a_file_that_is_not_utf8_is_named(load, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        load(path)
 
 
 def test_trajectory_csv_layout(tmp_path):

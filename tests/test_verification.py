@@ -1,11 +1,13 @@
 """Whole-family verification against the sampled, simulated reference."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ddreg import (
+    DimensionError,
     KnownMatrices,
     Regulator,
     build_problem,
@@ -19,7 +21,13 @@ from ddreg import (
 from ddreg.examples import EXAMPLE_NAMES, fixture_text
 from ddreg.fileio import parse_problem
 
-from _instances import coupling_free_instance, regulable_instance
+from _instances import (
+    PLANAR_GAIN_SHAPES,
+    WRONG_GAIN_SHAPES,
+    coupling_free_instance,
+    regulable_instance,
+    wrong_shape_regulator,
+)
 from _sampled_verifier import sampled_verdict
 
 CASES = (
@@ -121,3 +129,12 @@ def test_a_coupling_that_moves_with_n_is_found_along_a_direction():
     assert report.residuals["output_direction"] > 1e-6
     assert not sampled_verdict(result.regulator, family, problem.known, 10)
 
+
+@pytest.mark.parametrize("field, shape", WRONG_GAIN_SHAPES, ids=str)
+def test_verification_rejects_a_gain_of_the_wrong_shape(field, shape):
+    # Before the check numpy broadcast a 1 x 1 K1 and reported a residual.
+    problem = _problem("fixture", "planar")
+    family = synthesize(problem).family
+    message = f"{field} must have shape {PLANAR_GAIN_SHAPES[field]}, got {shape}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        verify_regulator(wrong_shape_regulator(field, shape), family, problem.known)
