@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UNIT_CIRCLE_MARGIN, DimensionError, NonFiniteError, within_tolerance
+from .model import UNIT_CIRCLE_MARGIN, DimensionError, _as_matrix, _as_square, within_tolerance
 
 __all__ = [
     "AntiStabilityError",
@@ -64,15 +64,6 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
-def _square(name: str, M) -> np.ndarray:
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralInfo:
     """Eigenvalues and their position relative to the unit circle."""
@@ -92,7 +83,7 @@ def spectral_info(M) -> SpectralInfo:
     is below 1 - UNIT_CIRCLE_MARGIN and anti-stable when every eigenvalue
     modulus is at least 1 - UNIT_CIRCLE_MARGIN.
     """
-    M = _square("M", M)
+    M, _ = _as_square("M", M, "n")
     if M.shape[0] == 0:
         return SpectralInfo(np.array([], dtype=complex), 0.0, True, True)
     eigenvalues = np.linalg.eigvals(M).astype(complex)
@@ -108,6 +99,7 @@ def spectral_info(M) -> SpectralInfo:
 
 def require_anti_stable(A1) -> None:
     """Raise AntiStabilityError unless the exosystem matrix A1 is anti-stable."""
+    A1, _ = _as_square("A1", A1, "n1")
     if not spectral_info(A1).is_anti_stable:
         raise AntiStabilityError(
             "A1 must be anti-stable: stable exosystem modes decay on their own "
@@ -131,8 +123,8 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
     same shape.  Raises SingularOperatorError when the spectra of A1 and
     A2 intersect within tolerance, which makes the operator singular.
     """
-    A1 = _square("A1", A1)
-    A2 = _square("A2", A2)
+    A1, _ = _as_square("A1", A1, "n1")
+    A2, _ = _as_square("A2", A2, "n2")
     A3 = np.asarray(A3, dtype=float)
     n1, n2 = A1.shape[0], A2.shape[0]
     if A3.ndim not in (2, 3) or A3.shape[-2:] != (n2, n1):
@@ -161,19 +153,27 @@ class RegulationCheck:
     output_residual: float | None
 
 
+def _loop_matrices(A1, A2, A3, D1, D2) -> tuple:
+    """The five matrices checked against n1 (from A1), n2 (from A2) and p (from D1)."""
+    A1, n1 = _as_square("A1", A1, "n1")
+    A2, n2 = _as_square("A2", A2, "n2")
+    D1 = _as_matrix("D1", D1, ("p", None), n1)
+    D2 = _as_matrix("D2", D2, ("p", D1.shape[0], "D1"), n2)
+    return A1, A2, _as_matrix("A3", A3, n2, n1), D1, D2
+
+
 def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     """Decide output regulation for explicit matrices.
 
     Requires A1 anti-stable (see require_anti_stable).  The
     interconnection is regulated iff A2 is stable and the unique solution
     T of T A1 - A2 T = A3 satisfies D1 + D2 T = 0 within_tolerance of
-    ||D1||.
+    ||D1||.  Every matrix is checked for finiteness and shape first.
     """
+    A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     require_anti_stable(A1)
     if not spectral_info(A2).is_stable:
         return RegulationCheck(regulated=False, T=None, output_residual=None)
-    D1 = np.asarray(D1, dtype=float)
-    D2 = np.asarray(D2, dtype=float)
     T = solve_sylvester(A1, A2, A3)
     residual = float(np.linalg.norm(D1 + D2 @ T))
     regulated = within_tolerance(residual, float(np.linalg.norm(D1)))
@@ -195,16 +195,13 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
 
     Both equations are vectorized, stacked and solved by least squares;
     the pair is reported infeasible when the residual fails
-    within_tolerance of ||rhs||.  Requires A1 anti-stable.
+    within_tolerance of ||rhs||.  Requires A1 anti-stable; every matrix
+    is checked for finiteness and shape first.
     """
-    A1 = _square("A1", A1)
-    A2 = _square("A2", A2)
+    A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
+    B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))
+    E = _as_matrix("E", E, ("p", D1.shape[0], "D1"), ("m", B2.shape[1], "B2"))
     require_anti_stable(A1)
-    B2 = np.asarray(B2, dtype=float)
-    A3 = np.asarray(A3, dtype=float)
-    D1 = np.asarray(D1, dtype=float)
-    D2 = np.asarray(D2, dtype=float)
-    E = np.asarray(E, dtype=float)
     n1, n2, m = A1.shape[0], A2.shape[0], B2.shape[1]
     I1 = np.eye(n1)
     top = np.hstack([sylvester_operator(A1, A2), -kron(I1, B2)])
@@ -220,16 +217,11 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
 
 
 def assemble_gains(T, V, K2) -> np.ndarray:
-    """Exosystem gain K1 = -K2 T + V from a regulator-equation pair."""
-    T = np.asarray(T, dtype=float)
-    V = np.asarray(V, dtype=float)
-    K2 = np.asarray(K2, dtype=float)
-    if K2.shape[1] != T.shape[0]:
-        raise DimensionError(
-            f"K2 has {K2.shape[1]} columns but T has {T.shape[0]} rows"
-        )
-    if V.shape != (K2.shape[0], T.shape[1]):
-        raise DimensionError(
-            f"V must have shape ({K2.shape[0]}, {T.shape[1]}), got {V.shape}"
-        )
+    """Exosystem gain K1 = -K2 T + V from a regulator-equation pair (T, V).
+
+    T is n2 x n1 and V m x n1, where K2 is m x n2.
+    """
+    K2 = _as_matrix("K2", K2)
+    T = _as_matrix("T", T, ("n2", K2.shape[1], "K2"), ("n1", None))
+    V = _as_matrix("V", V, ("m", K2.shape[0], "K2"), ("n1", T.shape[1], "T"))
     return -K2 @ T + V

@@ -29,7 +29,8 @@ from .fileio import (
     load_regulator,
     load_system,
     naming,
-    save_problem,
+    parse_problem,
+    problem_to_text,
     save_regulator,
     write_trajectories_csv,
     _atomic_write_text,
@@ -299,8 +300,10 @@ def cmd_gen_data(args) -> int:
         )
     data = generate_data(system, x1_0, x2_0, inputs)
     problem = build_problem(data, known)
-    save_problem(args.output, problem)
-    load_problem(args.output)
+    # Read the text back before writing it, so no unreadable file is left.
+    text = problem_to_text(problem)
+    parse_problem(text, origin=args.output)
+    _atomic_write_text(args.output, text)
     print(
         f"wrote {args.output} "
         f"(n1={problem.n1}, n2={problem.n2}, m={problem.m}, tau={problem.tau})"

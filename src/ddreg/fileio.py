@@ -5,9 +5,10 @@ stored as arrays of row arrays; numbers round-trip at full double
 precision.  Every matrix is validated by the model type it builds, and
 every error a file causes, from reading it to validating its matrices,
 leaves through naming(), so its message starts with the file it came
-from.  Writes are atomic (temp file then rename).  Regulator files carry
-the tool version and the SHA-256 of the problem file they were produced
-from, so a later simulation can flag mismatched inputs.
+from.  Writes are atomic (temp file then rename), and an error while
+writing names the path written.  Regulator files carry the tool version
+and the SHA-256 of the problem file they were produced from, so a later
+simulation can flag mismatched inputs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     ProblemData,
     Regulator,
     build_problem,
+    require_shape,
 )
 from .simulation import Trajectory, TrueSystem
 
@@ -52,8 +54,12 @@ __all__ = [
     "write_trajectories_csv",
 ]
 
-_PROBLEM_MATRICES = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
-_SYSTEM_MATRICES = ("A1", "A2", "B2", "A3", "D1", "D2", "E")
+# The fields of each model type, in file order.  A problem file holds the
+# known and the data matrices, a system file the true-system and the known ones.
+_KNOWN_MATRICES = ("A1", "A3", "D1", "D2", "E")
+_DATA_MATRICES = ("U_minus", "X1_minus", "X2")
+_TRUE_SYSTEM_MATRICES = ("A1", "A2", "B2", "A3")
+_DIMS = ("n1", "n2", "m", "p", "tau")
 _WITNESS_FIELDS = ("W", "Theta", "X_dagger")
 
 
@@ -83,19 +89,21 @@ def _sha256(text: str) -> str:
 
 @contextlib.contextmanager
 def _atomic_open(path) -> Iterator[TextIO]:
-    """A text handle on a temp file that replaces path when the block ends cleanly."""
+    """A text handle on a temp file that replaces path when the block ends cleanly.
+
+    Any error, the block's included, leaves through naming(path) and no file.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
+    with naming(path):
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -172,32 +180,14 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
                 "field 'config' is no longer supported: the decision "
                 "takes no settings; remove the field"
             )
-        matrices = {
-            key: _matrix_field(doc, key, required=(key != "A3")) for key in _PROBLEM_MATRICES
+        fields = {
+            key: _matrix_field(doc, key, required=(key != "A3"))
+            for key in _KNOWN_MATRICES + _DATA_MATRICES
         }
-        data = ProblemData(
-            U_minus=matrices["U_minus"],
-            X1_minus=matrices["X1_minus"],
-            X2=matrices["X2"],
-        )
-        known = KnownMatrices(
-            A1=matrices["A1"],
-            A3=matrices["A3"],
-            D1=matrices["D1"],
-            D2=matrices["D2"],
-            E=matrices["E"],
-        )
+        data = ProblemData(**{key: fields[key] for key in _DATA_MATRICES})
+        known = KnownMatrices(**{key: fields[key] for key in _KNOWN_MATRICES})
         problem = build_problem(data, known)
-        _check_dims(
-            doc,
-            {
-                "n1": problem.n1,
-                "n2": problem.n2,
-                "m": problem.m,
-                "p": problem.p,
-                "tau": problem.tau,
-            },
-        )
+        _check_dims(doc, {key: getattr(problem, key) for key in _DIMS})
     return ProblemDocument(problem=problem, sha256=_sha256(text), origin=origin)
 
 
@@ -229,24 +219,10 @@ def _format_document(doc: dict) -> str:
 
 def problem_to_text(problem: Problem) -> str:
     """Serialize a problem to problem-file JSON."""
-    known, data = problem.known, problem.data
-    doc = {
-        "dims": {
-            "n1": problem.n1,
-            "n2": problem.n2,
-            "m": problem.m,
-            "p": problem.p,
-            "tau": problem.tau,
-        },
-        "A1": _rows(known.A1),
-        "A3": None if known.A3 is None else _rows(known.A3),
-        "D1": _rows(known.D1),
-        "D2": _rows(known.D2),
-        "E": _rows(known.E),
-        "U_minus": _rows(data.U_minus),
-        "X1_minus": _rows(data.X1_minus),
-        "X2": _rows(data.X2),
-    }
+    doc = {"dims": {key: getattr(problem, key) for key in _DIMS}}
+    for key in _KNOWN_MATRICES + _DATA_MATRICES:
+        value = getattr(problem.data if key in _DATA_MATRICES else problem.known, key)
+        doc[key] = None if value is None else _rows(value)
     return _format_document(doc)
 
 
@@ -314,23 +290,20 @@ def load_regulator(path) -> RegulatorDocument:
 
 
 def load_system(path) -> tuple[TrueSystem, KnownMatrices]:
-    """Read a true-system file (A1, A2, B2, A3, D1, D2, E)."""
+    """Read a true-system file (A1, A2, B2, A3, D1, D2, E).
+
+    B2 and E must have the same number of columns, at least one: a
+    problem file records at least one input.
+    """
     text = _read(path)
     with naming(path):
         doc = _parse_json(text)
-        fields = {key: _matrix_field(doc, key) for key in _SYSTEM_MATRICES}
-        system = TrueSystem(
-            A1=fields["A1"], A2=fields["A2"], B2=fields["B2"], A3=fields["A3"]
-        )
-        known = KnownMatrices(
-            A1=fields["A1"],
-            A3=fields["A3"],
-            D1=fields["D1"],
-            D2=fields["D2"],
-            E=fields["E"],
-        )
-        if system.m != known.m:
-            raise DimensionError(f"B2 has {system.m} columns but E has {known.m}")
+        fields = {key: _matrix_field(doc, key) for key in _TRUE_SYSTEM_MATRICES + _KNOWN_MATRICES}
+        system = TrueSystem(**{key: fields[key] for key in _TRUE_SYSTEM_MATRICES})
+        known = KnownMatrices(**{key: fields[key] for key in _KNOWN_MATRICES})
+        require_shape("E", known.E, ("p", None), ("m", system.m, "B2"))
+        if system.m == 0:
+            raise DimensionError("B2 and E have no columns; the system needs at least one input")
     return system, known
 
 

@@ -34,7 +34,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import UNIT_CIRCLE_MARGIN, DimensionError, rank_from_singular_values
+from .model import (
+    UNIT_CIRCLE_MARGIN,
+    DimensionError,
+    _as_matrix,
+    _assign,
+    rank_from_singular_values,
+)
 
 __all__ = [
     "LmiProblem",
@@ -62,8 +68,8 @@ _STEIN_RTOL = 1e-16
 class LmiProblem:
     """Data of one feasibility instance.
 
-    X and Z are n x tau with tau >= n; each equality constraint is a
-    matrix C with tau columns imposing C Theta = 0.  The constant rho is
+    X and Z are finite n x tau matrices with tau >= n; each equality
+    constraint is a finite matrix C with tau columns imposing C Theta = 0.  The constant rho is
     the Frobenius norm of the returned Theta, and margin the acceptance
     threshold on the smallest block eigenvalue.
     """
@@ -75,26 +81,16 @@ class LmiProblem:
     margin: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
-        Z = np.array(self.Z, dtype=float)
-        if X.ndim != 2 or Z.shape != X.shape:
-            raise DimensionError(
-                f"X and Z must be 2-d with equal shapes, got {X.shape} and {Z.shape}"
-            )
+        X = _as_matrix("X", self.X)
         n, tau = X.shape
         if tau < n:
             raise DimensionError(f"X must have tau >= n, got shape {X.shape}")
-        constraints = []
-        for k, C in enumerate(self.equality_constraints):
-            C = np.array(C, dtype=float)
-            if C.ndim != 2 or C.shape[1] != tau:
-                raise DimensionError(
-                    f"equality constraint {k} must have {tau} columns, got shape {C.shape}"
-                )
-            constraints.append(C)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "equality_constraints", tuple(constraints))
+        n, tau = ("n", n, "X"), ("tau", tau, "X")
+        constraints = tuple(
+            _as_matrix(f"equality_constraints[{k}]", C, ("rows", None), tau)
+            for k, C in enumerate(self.equality_constraints)
+        )
+        _assign(self, X=X, Z=_as_matrix("Z", self.Z, n, tau), equality_constraints=constraints)
 
     @property
     def n(self) -> int:
@@ -332,11 +328,7 @@ def check_theta(problem: LmiProblem, Theta) -> ThetaCheck:
     X_dagger is returned only when X Theta is invertible; a candidate
     with min_eig <= 0 fails feasibility regardless.
     """
-    Theta = np.asarray(Theta, dtype=float)
-    if Theta.shape != (problem.tau, problem.n):
-        raise DimensionError(
-            f"Theta must have shape ({problem.tau}, {problem.n}), got {Theta.shape}"
-        )
+    Theta = _as_matrix("Theta", Theta, ("tau", problem.tau, "X"), ("n", problem.n, "X"))
     P = problem.X @ Theta
     symmetry_residual = float(np.linalg.norm(P - P.T))
     equality_residuals = tuple(

@@ -37,6 +37,7 @@ __all__ = [
     "LmiReport",
     "SynthesisReport",
     "rank_from_singular_values",
+    "require_shape",
     "RESIDUAL_RTOL",
     "UNIT_CIRCLE_MARGIN",
     "within_tolerance",
@@ -70,14 +71,53 @@ class InconsistentDataError(ValueError):
     """
 
 
-def _as_matrix(name: str, value) -> np.ndarray:
+def require_shape(name: str, arr: np.ndarray, *dims: tuple) -> None:
+    """Raise DimensionError unless arr has one axis per dim, of the dim's size.
+
+    A dim is (label, size), or (label, size, source) when the size is read
+    off the matrix named source; a size of None leaves that axis free.  The
+    message names the source of each size that arr misses.
+    """
+    expected = tuple(got if dim[1] is None else dim[1] for got, dim in zip(arr.shape, dims))
+    if arr.ndim == len(dims) and arr.shape == expected:
+        return
+    labels = ", ".join(dim[0] for dim in dims)
+    sources = ", ".join(
+        f"{dim[0]} is read from {dim[2]}"
+        for got, dim in zip(arr.shape, dims)
+        if dim[2:] and dim[2] != name and dim[1] not in (None, got)
+    )
+    raise DimensionError(
+        f"{name} must have shape ({labels}) = {expected}, got {arr.shape}"
+        + (f"; {sources}" if sources else "")
+    )
+
+
+def _as_matrix(name: str, value, *dims: tuple) -> np.ndarray:
+    """The caller's value as a read-only float matrix, 2-d, finite and of shape dims."""
     arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
+    if dims:
+        require_shape(name, arr, *dims)
     arr.setflags(write=False)
     return arr
+
+
+def _assign(obj, **fields) -> None:
+    """Set fields of a frozen dataclass, from its __post_init__."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+def _as_square(name: str, value, label: str) -> tuple[np.ndarray, tuple]:
+    """_as_matrix for a square matrix; also returns its size as the dim (label, n, name)."""
+    arr = _as_matrix(name, value)
+    dim = (label, arr.shape[0], name)
+    require_shape(name, arr, dim, dim)
+    return arr, dim
 
 
 def rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
@@ -103,20 +143,13 @@ class ProblemData:
     X2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "U_minus", _as_matrix("U_minus", self.U_minus))
-        object.__setattr__(self, "X1_minus", _as_matrix("X1_minus", self.X1_minus))
-        object.__setattr__(self, "X2", _as_matrix("X2", self.X2))
-        tau = self.U_minus.shape[1]
+        U = _as_matrix("U_minus", self.U_minus)
+        tau = U.shape[1]
         if tau < 1:
             raise DimensionError("U_minus must contain at least one sample (tau >= 1)")
-        if self.X1_minus.shape[1] != tau:
-            raise DimensionError(
-                f"X1_minus has {self.X1_minus.shape[1]} columns but U_minus has tau={tau}"
-            )
-        if self.X2.shape[1] != tau + 1:
-            raise DimensionError(
-                f"X2 has {self.X2.shape[1]} columns but needs tau+1={tau + 1} to match U_minus"
-            )
+        X1 = _as_matrix("X1_minus", self.X1_minus, ("n1", None), ("tau", tau, "U_minus"))
+        X2 = _as_matrix("X2", self.X2, ("n2", None), ("tau+1", tau + 1, "U_minus"))
+        _assign(self, U_minus=U, X1_minus=X1, X2=X2)
 
     @property
     def tau(self) -> int:
@@ -160,33 +193,13 @@ class KnownMatrices:
     E: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A1", _as_matrix("A1", self.A1))
+        A1, n1 = _as_square("A1", self.A1, "n1")
+        D1 = _as_matrix("D1", self.D1, ("p", None), n1)
+        p = ("p", D1.shape[0], "D1")
+        D2 = _as_matrix("D2", self.D2, p, ("n2", None))
+        _assign(self, A1=A1, D1=D1, D2=D2, E=_as_matrix("E", self.E, p, ("m", None)))
         if self.A3 is not None:
-            object.__setattr__(self, "A3", _as_matrix("A3", self.A3))
-        object.__setattr__(self, "D1", _as_matrix("D1", self.D1))
-        object.__setattr__(self, "D2", _as_matrix("D2", self.D2))
-        object.__setattr__(self, "E", _as_matrix("E", self.E))
-        n1 = self.A1.shape[0]
-        if self.A1.shape[1] != n1:
-            raise DimensionError(f"A1 must be square, got {self.A1.shape}")
-        if self.D1.shape[1] != n1:
-            raise DimensionError(
-                f"D1 has {self.D1.shape[1]} columns but A1 is {n1}x{n1}"
-            )
-        p = self.D1.shape[0]
-        if self.D2.shape[0] != p:
-            raise DimensionError(f"D2 has {self.D2.shape[0]} rows but D1 has {p}")
-        if self.E.shape[0] != p:
-            raise DimensionError(f"E has {self.E.shape[0]} rows but D1 has {p}")
-        if self.A3 is not None:
-            if self.A3.shape[1] != n1:
-                raise DimensionError(
-                    f"A3 has {self.A3.shape[1]} columns but A1 is {n1}x{n1}"
-                )
-            if self.A3.shape[0] != self.D2.shape[1]:
-                raise DimensionError(
-                    f"A3 has {self.A3.shape[0]} rows but D2 has {self.D2.shape[1]} columns"
-                )
+            _assign(self, A3=_as_matrix("A3", self.A3, ("n2", D2.shape[1], "D2"), n1))
 
     @property
     def n1(self) -> int:
@@ -240,20 +253,12 @@ class Problem:
 def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
     """Cross-check data against known matrices and bind them.
 
-    Raises DimensionError naming the offending pair on any mismatch.
+    Raises DimensionError naming the data matrix and the known matrix
+    its row count must match.
     """
-    if data.n1 != known.n1:
-        raise DimensionError(
-            f"X1_minus has {data.n1} rows but A1 is {known.n1}x{known.n1}"
-        )
-    if data.n2 != known.n2:
-        raise DimensionError(
-            f"X2 has {data.n2} rows but D2 has {known.n2} columns"
-        )
-    if data.m != known.m:
-        raise DimensionError(
-            f"U_minus has {data.m} rows but E has {known.m} columns"
-        )
+    require_shape("X1_minus", data.X1_minus, ("n1", known.n1, "A1"), ("tau", None))
+    require_shape("X2", data.X2, ("n2", known.n2, "D2"), ("tau+1", None))
+    require_shape("U_minus", data.U_minus, ("m", known.m, "E"), ("tau", None))
     return Problem(data=data, known=known)
 
 
@@ -286,15 +291,23 @@ class CompatibleSet:
         return self.A2_part.shape[0]
 
 
+def _regression(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """(G, Z) with the compatible systems solving M G = Z in the problem's coupling mode.
+
+    G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or with
+    X1_minus stacked under G and Z = X2_plus when A3 is None.
+    """
+    data, A3 = problem.data, problem.known.A3
+    if A3 is None:
+        return np.vstack([data.X2_minus, data.U_minus, data.X1_minus]), data.X2_plus
+    return np.vstack([data.X2_minus, data.U_minus]), data.X2_plus - A3 @ data.X1_minus
+
+
 def _compatible_set(problem: Problem) -> CompatibleSet:
     data, known = problem.data, problem.known
     n2, m = data.n2, data.m
-    if known.A3 is None:
-        G = np.vstack([data.X2_minus, data.U_minus, data.X1_minus])
-        Z, rhs = data.X2_plus, "||X2_plus||"
-    else:
-        G = np.vstack([data.X2_minus, data.U_minus])
-        Z, rhs = data.X2_plus - known.A3 @ data.X1_minus, "||X2_plus - A3 X1_minus||"
+    G, Z = _regression(problem)
+    rhs = "||X2_plus||" if known.A3 is None else "||X2_plus - A3 X1_minus||"
     # One SVD gives the rank (with the cutoff of lstsq(rcond=None)), the
     # least-squares solution M = Z G^+ and the kernel basis S.
     U, s, Vh = np.linalg.svd(G)
@@ -350,11 +363,7 @@ def compatible_set_unknown_a3(problem: Problem) -> CompatibleSet:
 
 def member_at(cset: CompatibleSet, N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member triple (A2, B2, A3) at kernel coordinate N (shape n2 x r)."""
-    N = np.asarray(N, dtype=float)
-    if N.shape != (cset.n2, cset.r):
-        raise DimensionError(
-            f"N must have shape ({cset.n2}, {cset.r}), got {N.shape}"
-        )
+    N = _as_matrix("N", N, ("n2", cset.n2), ("r", cset.r))
     return (
         cset.A2_part + N @ cset.S1.T,
         cset.B2_part + N @ cset.S2.T,
@@ -369,7 +378,7 @@ class Regulator:
     provenance names the branch that produced the gains ("condition1",
     "condition2", or the same with "_unknown_a3" appended when A3 was
     unknown).  W, Theta and X2_dagger are the witnesses of that branch
-    when it produces them.
+    when it produces them.  K1 and K2 must have the same number of rows.
     """
 
     K1: np.ndarray
@@ -380,16 +389,10 @@ class Regulator:
     X2_dagger: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "K1", _as_matrix("K1", self.K1))
-        object.__setattr__(self, "K2", _as_matrix("K2", self.K2))
-        for name in ("W", "Theta", "X2_dagger"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_matrix(name, value))
-        if self.K1.shape[0] != self.K2.shape[0]:
-            raise DimensionError(
-                f"K1 has {self.K1.shape[0]} rows but K2 has {self.K2.shape[0]}"
-            )
+        K1 = _as_matrix("K1", self.K1)
+        _assign(self, K1=K1, K2=_as_matrix("K2", self.K2, ("m", K1.shape[0], "K1"), ("n2", None)))
+        witnesses = {name: getattr(self, name) for name in ("W", "Theta", "X2_dagger")}
+        _assign(self, **{k: _as_matrix(k, v) for k, v in witnesses.items() if v is not None})
 
 
 @dataclass

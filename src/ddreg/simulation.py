@@ -21,7 +21,10 @@ from .model import (
     ProblemData,
     Regulator,
     _as_matrix,
+    _as_square,
+    _assign,
     member_at,
+    require_shape,
 )
 
 __all__ = [
@@ -56,15 +59,10 @@ class TrueSystem:
     A3: np.ndarray
 
     def __post_init__(self):
-        for name in ("A1", "A2", "B2", "A3"):
-            object.__setattr__(self, name, _as_matrix(name, getattr(self, name)))
-        n1, n2 = self.A1.shape[0], self.A2.shape[0]
-        if self.A1.shape != (n1, n1) or self.A2.shape != (n2, n2):
-            raise DimensionError("A1 and A2 must be square")
-        if self.B2.shape[0] != n2:
-            raise DimensionError(f"B2 has {self.B2.shape[0]} rows but A2 is {n2}x{n2}")
-        if self.A3.shape != (n2, n1):
-            raise DimensionError(f"A3 must have shape ({n2}, {n1}), got {self.A3.shape}")
+        A1, n1 = _as_square("A1", self.A1, "n1")
+        A2, n2 = _as_square("A2", self.A2, "n2")
+        B2 = _as_matrix("B2", self.B2, n2, ("m", None))
+        _assign(self, A1=A1, A2=A2, B2=B2, A3=_as_matrix("A3", self.A3, n2, n1))
 
     @property
     def n1(self) -> int:
@@ -102,11 +100,9 @@ class DecayResult:
     terminal_norm: float
 
 
-def _column(name: str, v, length: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape[0] != length:
-        raise DimensionError(f"{name} must have length {length}, got {arr.shape[0]}")
-    return arr
+def _column(name: str, v, rows: tuple) -> np.ndarray:
+    """The entries of v as a finite vector with the length of the dim rows."""
+    return _as_matrix(name, np.reshape(v, (-1, 1)), rows, ("1", 1))[:, 0]
 
 
 def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:
@@ -114,18 +110,14 @@ def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:
 
     inputs is m x tau; the returned ProblemData holds the applied inputs,
     the exosystem samples x1(0..tau-1) and the endosystem samples
-    x2(0..tau).
+    x2(0..tau).  The inputs and the initial states must be finite.
     """
-    U = np.asarray(inputs, dtype=float)
-    if U.ndim != 2 or U.shape[0] != system.m:
-        raise DimensionError(
-            f"inputs must be {system.m} x tau, got shape {np.shape(inputs)}"
-        )
+    U = _as_matrix("inputs", inputs, ("m", system.m, "system.B2"), ("tau", None))
     tau = U.shape[1]
     if tau < 1:
         raise DimensionError("inputs must contain at least one sample")
-    x1 = _column("x1_0", x1_0, system.n1)
-    x2 = _column("x2_0", x2_0, system.n2)
+    x1 = _column("x1_0", x1_0, ("n1", system.n1, "system.A1"))
+    x2 = _column("x2_0", x2_0, ("n2", system.n2, "system.A2"))
     X1 = np.empty((system.n1, tau))
     X2 = np.empty((system.n2, tau + 1))
     X2[:, 0] = x2
@@ -148,12 +140,19 @@ def closed_loop_sim(
     """Run u = K1 x1 + K2 x2 on a concrete member for the given horizon.
 
     The member supplies the dynamics (A2, B2 and its own A3); the output
-    matrices D1, D2, E come from the known part.
+    matrices D1, D2, E come from the known part.  Raises DimensionError
+    unless system, known and regulator agree on n1, n2 and m.
     """
+    m = ("m", system.m, "system.B2")
+    n1, n2 = ("n1", system.n1, "system.A1"), ("n2", system.n2, "system.A2")
+    require_shape("known.D1", known.D1, ("p", None), n1)
+    require_shape("known.D2", known.D2, ("p", None), n2)
+    require_shape("known.E", known.E, ("p", None), m)
+    require_shape("regulator.K1", regulator.K1, m, n1)
+    require_shape("regulator.K2", regulator.K2, m, n2)
     if horizon < 1:
         raise DimensionError("horizon must be at least 1")
-    x1 = _column("x1_0", x1_0, system.n1)
-    x2 = _column("x2_0", x2_0, system.n2)
+    x1, x2 = _column("x1_0", x1_0, n1), _column("x2_0", x2_0, n2)
     K1, K2 = regulator.K1, regulator.K2
     D1, D2, E = known.D1, known.D2, known.E
     n_steps = horizon + 1

@@ -38,13 +38,15 @@ from .analysis import assemble_gains, kron, require_anti_stable, solve_sylvester
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
-    DimensionError,
     KnownMatrices,
     Problem,
     Regulator,
     SynthesisReport,
+    _as_matrix,
+    _regression,
     compatible_set,
     rank_from_singular_values,
+    require_shape,
     within_tolerance,
 )
 
@@ -104,21 +106,11 @@ def _rank_x2_minus(problem: Problem) -> int:
     return rank_from_singular_values(s, X.shape)
 
 
-def _closed_loop_data(problem: Problem) -> np.ndarray:
-    data, known = problem.data, problem.known
-    if known.A3 is None:
-        return data.X2_plus
-    return data.X2_plus - known.A3 @ data.X1_minus
-
-
 def _lmi_for(problem: Problem, constraints: tuple[np.ndarray, ...]) -> LmiProblem:
     if problem.known.A3 is None:
         constraints = constraints + (problem.data.X1_minus,)
-    return LmiProblem(
-        X=problem.data.X2_minus,
-        Z=_closed_loop_data(problem),
-        equality_constraints=constraints,
-    )
+    _, Z = _regression(problem)
+    return LmiProblem(X=problem.data.X2_minus, Z=Z, equality_constraints=constraints)
 
 
 def _provenance(name: str, problem: Problem) -> str:
@@ -139,8 +131,9 @@ def _w_system(known: KnownMatrices, X2, U, X1, Z) -> tuple[np.ndarray, np.ndarra
 
 
 def _data_w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    data, Z = problem.data, _closed_loop_data(problem)
-    return _w_system(problem.known, data.X2_minus, data.U_minus, data.X1_minus, Z)
+    G, Z = _regression(problem)
+    n2, m = problem.n2, problem.m
+    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], Z)
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -160,25 +153,25 @@ def w_system_unknown_a3(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def w_residual(problem: Problem, W) -> float:
-    """Absolute residual of a candidate W in the stacked system."""
+    """Absolute residual of a candidate W (tau x n1) in the stacked system."""
+    W = _as_matrix("W", W, ("tau", problem.tau, "U_minus"), ("n1", problem.n1, "A1"))
     lhs, rhs = w_system(problem)
-    W = np.asarray(W, dtype=float)
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_w(problem: Problem, family: CompatibleSet):
+def _solve_w(problem: Problem, family: CompatibleSet, rows: int):
     # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
     # the data equations become those of the family's particular member.
+    # The first rows of the family's blocks are those of G.
     known, n2, m = problem.known, problem.n2, problem.m
-    k = 3 if known.A3 is None else 2
-    S = np.vstack([family.S1, family.S2, family.S3][:k])
-    M = np.hstack([family.A2_part, family.B2_part, family.A3_part][:k])
-    P = np.eye(S.shape[0]) - S @ S.T
+    S = np.vstack([family.S1, family.S2, family.S3])[:rows]
+    M = np.hstack([family.A2_part, family.B2_part, family.A3_part])[:, :rows]
+    P = np.eye(rows) - S @ S.T
     lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
     feasible = within_tolerance(residual, float(np.linalg.norm(rhs)))
-    return P @ unvec(sol, (S.shape[0], problem.n1)), residual, feasible
+    return P @ unvec(sol, (rows, problem.n1)), residual, feasible
 
 
 def check_endo_stabilization(problem: Problem) -> EndoStabilization:
@@ -249,10 +242,10 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T, and W is
     reconstructed as the witness.
     """
-    data = problem.data
     family = family or compatible_set(problem)
     lmi = solve_lmi(_lmi_for(problem, ()))
-    Y, residual, w_ok = _solve_w(problem, family)
+    G, _ = _regression(problem)
+    Y, residual, w_ok = _solve_w(problem, family, len(G))
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -261,10 +254,9 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    G = np.vstack([data.X2_minus, data.U_minus, data.X1_minus])[: len(Y)]
     W, *_ = np.linalg.lstsq(G, Y, rcond=None)
     n2, m = problem.n2, problem.m
-    K2 = data.U_minus @ lmi.X_dagger
+    K2 = problem.data.U_minus @ lmi.X_dagger
     regulator = Regulator(
         K1=assemble_gains(Y[:n2], Y[n2 : n2 + m], K2),
         K2=K2,
@@ -371,12 +363,8 @@ class VerificationReport:
 
 def require_gain_shapes(regulator: Regulator, known: KnownMatrices) -> None:
     """Raise DimensionError unless K1 is m x n1 and K2 is m x n2."""
-    for name, gain, n in (("K1", regulator.K1, "n1"), ("K2", regulator.K2, "n2")):
-        expected = (known.m, getattr(known, n))
-        if gain.shape != expected:
-            raise DimensionError(
-                f"{name} must have shape (m, {n}) = {expected}, got {gain.shape}"
-            )
+    require_shape("K1", regulator.K1, ("m", known.m), ("n1", known.n1))
+    require_shape("K2", regulator.K2, ("m", known.m), ("n2", known.n2))
 
 
 def _verify_regulator(regulator, cset, known) -> VerificationReport:

@@ -712,3 +712,52 @@ def test_simulate_help_states_the_flag_ranges(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(1 to 100)" in help_text
     assert "(19 to 10000)" in help_text
+
+
+@pytest.mark.parametrize("command", ["synth", "gen-data", "simulate"])
+def test_an_unwritable_output_path_exits_one_naming_the_path(
+    command, planar_path, system_path, tmp_path, capsys
+):
+    out_path = tmp_path / "absent" / "out.json"
+    if command == "simulate":
+        reg_path = tmp_path / "regulator.json"
+        assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+        capsys.readouterr()
+        argv = ["simulate", str(planar_path), str(reg_path), "--out", str(out_path)]
+    elif command == "synth":
+        argv = ["synth", str(planar_path), "-o", str(out_path)]
+    else:
+        argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "B2, E, message",
+    [
+        ([[]], [[]], "B2 and E have no columns; the system needs at least one input"),
+        ([[]], [[1.0]], "E must have shape (p, m) = (1, 0), got (1, 1); m is read from B2"),
+        ([[1.0]], [[]], "E must have shape (p, m) = (1, 1), got (1, 0); m is read from B2"),
+    ],
+    ids=["no inputs", "B2 without columns", "E without columns"],
+)
+def test_gen_data_refuses_a_system_without_inputs(B2, E, message, system_path, tmp_path, capsys):
+    doc = json.loads(system_path.read_text())
+    system_path.write_text(json.dumps(dict(doc, B2=B2, E=E)))
+    out_path = tmp_path / "p.json"
+    assert main(["gen-data", str(system_path), "-o", str(out_path), "--tau", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {system_path}: {message}\n"
+    assert not out_path.exists()
+
+
+def test_gen_data_writes_no_file_it_cannot_read_back(system_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ddreg.cli, "problem_to_text", lambda problem: "{}")
+    out_path = tmp_path / "p.json"
+    assert main(["gen-data", str(system_path), "-o", str(out_path), "--tau", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out_path}: missing matrix field 'A1'\n"
+    assert not out_path.exists()
