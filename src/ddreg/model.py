@@ -98,7 +98,7 @@ def _as_matrix(name: str, value, *dims: tuple) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     if dims:
         require_shape(name, arr, *dims)
