@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UNIT_CIRCLE_MARGIN, DimensionError, _as_matrix, _as_square, within_tolerance
+from .model import (
+    UNIT_CIRCLE_MARGIN,
+    DimensionError,
+    NonFiniteError,
+    _as_matrix,
+    _as_square,
+    within_tolerance,
+)
 
 __all__ = [
     "AntiStabilityError",
@@ -120,8 +127,9 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
     The equation is vectorized to (A1^T kron I - I kron A2) vec(T) =
     vec(A3) and solved densely.  A3 may also be a stack of shape
     (k, n2, n1): the k right-hand sides share one solve and T has the
-    same shape.  Raises SingularOperatorError when the spectra of A1 and
-    A2 intersect within tolerance, which makes the operator singular.
+    same shape.  Raises NonFiniteError when A3 has a non-finite entry
+    and SingularOperatorError when the spectra of A1 and A2 intersect
+    within tolerance, which makes the operator singular.
     """
     A1, _ = _as_square("A1", A1, "n1")
     A2, _ = _as_square("A2", A2, "n2")
@@ -131,6 +139,8 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
         raise DimensionError(
             f"A3 must have shape ({n2}, {n1}) or (k, {n2}, {n1}), got {A3.shape}"
         )
+    if not np.isfinite(A3).all():
+        raise NonFiniteError("A3 contains non-finite entries")
     L = sylvester_operator(A1, A2)
     s = np.linalg.svd(L, compute_uv=False)
     if s.size == 0 or s[-1] <= _SINGULAR_RTOL * max(1.0, s[0]):

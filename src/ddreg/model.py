@@ -13,7 +13,9 @@ every layer, which no function takes as a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,17 +78,17 @@ def require_shape(name: str, arr: np.ndarray, *dims: tuple) -> None:
 
     A dim is (label, size), or (label, size, source) when the size is read
     off the matrix named source; a size of None leaves that axis free.  The
-    message names the source of each size that arr misses.
+    message names, once, the source of each size that arr misses.
     """
     expected = tuple(got if dim[1] is None else dim[1] for got, dim in zip(arr.shape, dims))
     if arr.ndim == len(dims) and arr.shape == expected:
         return
     labels = ", ".join(dim[0] for dim in dims)
-    sources = ", ".join(
+    sources = ", ".join(dict.fromkeys(
         f"{dim[0]} is read from {dim[2]}"
         for got, dim in zip(arr.shape, dims)
         if dim[2:] and dim[2] != name and dim[1] not in (None, got)
-    )
+    ))
     raise DimensionError(
         f"{name} must have shape ({labels}) = {expected}, got {arr.shape}"
         + (f"; {sources}" if sources else "")
@@ -107,7 +109,7 @@ def _as_matrix(name: str, value, *dims: tuple) -> np.ndarray:
 
 
 def _assign(obj, **fields) -> None:
-    """Set fields of a frozen dataclass, from its __post_init__."""
+    """Set attributes of a frozen dataclass, from its __post_init__ or a builder."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
 
@@ -224,6 +226,10 @@ class Problem:
 
     data: ProblemData
     known: KnownMatrices
+    # Not a field: the regression that the last build of this problem's
+    # family factored, for the conditions of the same decision to read
+    # (see _regression).  The arrays are read-only, so it cannot go stale.
+    _built_regression = None
 
     @property
     def tau(self) -> int:
@@ -246,8 +252,14 @@ class Problem:
         return self.known.p
 
     def without_a3(self) -> Problem:
-        """The same data and known matrices with the coupling A3 unknown."""
-        return Problem(data=self.data, known=replace(self.known, A3=None))
+        """The same data and known matrices with the coupling A3 unknown.
+
+        The known matrices are copied as they were checked; dropping A3
+        cannot invalidate the rest.
+        """
+        known = copy.copy(self.known)
+        _assign(known, A3=None)
+        return Problem(data=self.data, known=known)
 
 
 def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
@@ -291,30 +303,56 @@ class CompatibleSet:
         return self.A2_part.shape[0]
 
 
-def _regression(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """(G, Z) with the compatible systems solving M G = Z in the problem's coupling mode.
+@dataclass(frozen=True, eq=False)
+class _Regression:
+    """The regression M G = Z whose solutions M are the compatible systems.
 
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or with
-    X1_minus stacked under G and Z = X2_plus when A3 is None.
+    X1_minus stacked under G and Z = X2_plus when A3 is None.  svd is
+    computed on first use.
     """
+
+    G: np.ndarray
+    Z: np.ndarray
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(U, s, Vh[:k], k) of G = U diag(s) Vh, k its rank with the cutoff of lstsq(rcond=None)."""
+        U, s, Vh = np.linalg.svd(self.G)
+        k = rank_from_singular_values(s, self.G.shape)
+        return U, s, Vh[:k].copy(), k
+
+    def pinv_apply(self, Y: np.ndarray) -> np.ndarray:
+        """G^+ Y, the least-squares solution of G W = Y that lstsq(G, Y, rcond=None) returns."""
+        U, s, Vh, k = self.svd
+        return Vh.T @ ((U[:, :k].T @ Y) / s[:k, None])
+
+
+def _stack(problem: Problem) -> _Regression:
     data, A3 = problem.data, problem.known.A3
     if A3 is None:
-        return np.vstack([data.X2_minus, data.U_minus, data.X1_minus]), data.X2_plus
-    return np.vstack([data.X2_minus, data.U_minus]), data.X2_plus - A3 @ data.X1_minus
+        return _Regression(np.vstack([data.X2_minus, data.U_minus, data.X1_minus]), data.X2_plus)
+    return _Regression(np.vstack([data.X2_minus, data.U_minus]), data.X2_plus - A3 @ data.X1_minus)
+
+
+def _regression(problem: Problem) -> _Regression:
+    """The regression of problem in its coupling mode; the family builder's when it ran."""
+    built = problem._built_regression
+    return _stack(problem) if built is None else built
 
 
 def _compatible_set(problem: Problem) -> CompatibleSet:
     data, known = problem.data, problem.known
     n2, m = data.n2, data.m
-    G, Z = _regression(problem)
+    regression = _stack(problem)
+    G, Z = regression.G, regression.Z
     rhs = "||X2_plus||" if known.A3 is None else "||X2_plus - A3 X1_minus||"
     # One SVD gives the rank (with the cutoff of lstsq(rcond=None)), the
     # least-squares solution M = Z G^+ and the kernel basis S.
-    U, s, Vh = np.linalg.svd(G)
-    r = rank_from_singular_values(s, G.shape)
+    U, s, Vh, r = regression.svd
     S = U[:, r:]
     with np.errstate(over="ignore", invalid="ignore"):
-        M = ((Z @ Vh[:r].T) / s[:r]) @ U[:, :r].T
+        M = ((Z @ Vh.T) / s[:r]) @ U[:, :r].T
         residual = float(np.linalg.norm(M @ G - Z))
         reference = float(np.linalg.norm(Z))
     if not np.isfinite(reference) or not np.isfinite(residual):
@@ -327,6 +365,7 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
             f"no system matches the measured transitions: residual {residual:.3e} "
             f"exceeds {RESIDUAL_RTOL:.1e} * (1 + {rhs})"
         )
+    _assign(problem, _built_regression=regression)
     if known.A3 is None:
         A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
     else:

@@ -7,8 +7,12 @@ E K1 = -D1.  The equation route (condition 2) needs any stabilizing
 right-inverse together with a solution W of the data-driven regulator
 equations.  They are solved on the compatible family, for [T; V] =
 [X2_minus; U_minus] W, so the solve does not inherit the conditioning
-of the samples; K1 = V - K2 T.  Either route yields one gain
-pair that works for every member of the compatible family, and
+of the samples; K1 = V - K2 T.  When the data identify the endosystem
+and p = m, they are the square Francis equations, decided by one LU
+solve; least squares decides every other shape and any LU solution
+that misses the residual rule.  The witness W is G^+ [T; V], applied
+through the SVD of G that built the family.  Either route yields one
+gain pair that works for every member of the compatible family, and
 verify_regulator checks any gain pair against the whole family in
 closed form.
 
@@ -109,7 +113,7 @@ def _rank_x2_minus(problem: Problem) -> int:
 def _lmi_for(problem: Problem, constraints: tuple[np.ndarray, ...]) -> LmiProblem:
     if problem.known.A3 is None:
         constraints = constraints + (problem.data.X1_minus,)
-    _, Z = _regression(problem)
+    Z = _regression(problem).Z
     return LmiProblem(X=problem.data.X2_minus, Z=Z, equality_constraints=constraints)
 
 
@@ -131,9 +135,9 @@ def _w_system(known: KnownMatrices, X2, U, X1, Z) -> tuple[np.ndarray, np.ndarra
 
 
 def _data_w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    G, Z = _regression(problem)
-    n2, m = problem.n2, problem.m
-    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], Z)
+    regression = _regression(problem)
+    G, n2, m = regression.G, problem.n2, problem.m
+    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], regression.Z)
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +163,7 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_w(problem: Problem, family: CompatibleSet, rows: int):
+def _family_w_system(problem: Problem, family: CompatibleSet, rows: int):
     # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
     # the data equations become those of the family's particular member.
     # The first rows of the family's blocks are those of G.
@@ -168,10 +172,29 @@ def _solve_w(problem: Problem, family: CompatibleSet, rows: int):
     M = np.hstack([family.A2_part, family.B2_part, family.A3_part])[:, :rows]
     P = np.eye(rows) - S @ S.T
     lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
+    return lhs, rhs, P
+
+
+def _solve_w(problem: Problem, family: CompatibleSet, rows: int):
+    # An identified family (r = 0) with p = m makes the equations the
+    # square Francis equations, which one LU solve decides when their
+    # operator is regular.  Every other shape, and an LU solution that is
+    # not finite or misses the residual rule, goes to least squares.
+    lhs, rhs, P = _family_w_system(problem, family, rows)
+    shape = (rows, problem.n1)
+    reference = float(np.linalg.norm(rhs))
+    if family.r == 0 and lhs.shape[0] == lhs.shape[1]:
+        try:
+            sol = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None and np.isfinite(sol).all():
+            residual = float(np.linalg.norm(lhs @ sol - rhs))
+            if within_tolerance(residual, reference):
+                return P @ unvec(sol, shape), residual, True
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
-    feasible = within_tolerance(residual, float(np.linalg.norm(rhs)))
-    return P @ unvec(sol, (rows, problem.n1)), residual, feasible
+    return P @ unvec(sol, shape), residual, within_tolerance(residual, reference)
 
 
 def check_endo_stabilization(problem: Problem) -> EndoStabilization:
@@ -238,14 +261,15 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
 
     The regulator equations of the compatible family (built when family
     is None) are solved for [T; V (; I)] = G W in the image of
-    G = [X2_minus; U_minus (; X1_minus)] and must hold within_tolerance
-    of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T, and W is
-    reconstructed as the witness.
+    G = [X2_minus; U_minus (; X1_minus)], by LU when they are square and
+    the family has r = 0, else by least squares, and must hold
+    within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
+    and the witness W = G^+ [T; V] comes from the SVD of G.
     """
     family = family or compatible_set(problem)
     lmi = solve_lmi(_lmi_for(problem, ()))
-    G, _ = _regression(problem)
-    Y, residual, w_ok = _solve_w(problem, family, len(G))
+    regression = _regression(problem)
+    Y, residual, w_ok = _solve_w(problem, family, len(regression.G))
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -254,7 +278,7 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    W, *_ = np.linalg.lstsq(G, Y, rcond=None)
+    W = regression.pinv_apply(Y)
     n2, m = problem.n2, problem.m
     K2 = problem.data.U_minus @ lmi.X_dagger
     regulator = Regulator(
@@ -369,6 +393,11 @@ def require_gain_shapes(regulator: Regulator, known: KnownMatrices) -> None:
 
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
     require_gain_shapes(regulator, known)
+    n1, n2 = ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2")
+    m = ("m", known.m, "known.E")
+    require_shape("cset.A2_part", cset.A2_part, n2, n2)
+    require_shape("cset.B2_part", cset.B2_part, n2, m)
+    require_shape("cset.A3_part", cset.A3_part, n2, n1)
     require_anti_stable(known.A1)
     K1, K2 = regulator.K1, regulator.K2
     A_cl = cset.A2_part + cset.B2_part @ K2
@@ -416,7 +445,9 @@ def verify_regulator(
     within_tolerance of ||D1||, as in check_output_regulated.  cset
     supplies the family; known supplies A1 and the output matrices.
     Raises DimensionError, via require_gain_shapes, when a gain does not
-    fit known.  samples is accepted for older callers and ignored.
+    fit known, and naming cset.A2_part, cset.B2_part or cset.A3_part
+    when the family's systems do not fit known.  samples is accepted for
+    older callers and ignored.
     """
     return _verify_regulator(regulator, cset, known)
 

@@ -118,7 +118,7 @@ _ARGUMENTS = [
     ("Regulator", "K1", 0), ("Regulator", "K2", 0),
     ("Regulator", "W", None), ("Regulator", "Theta", None), ("Regulator", "X2_dagger", None),
     ("spectral_info", "M", 1), ("require_anti_stable", "A1", 1),
-    ("solve_sylvester", "A1", 1), ("solve_sylvester", "A2", 1),
+    ("solve_sylvester", "A1", 1), ("solve_sylvester", "A2", 1), ("solve_sylvester", "A3", 1),
     ("check_output_regulated", "A1", 1), ("check_output_regulated", "A2", 1),
     ("check_output_regulated", "A3", 1), ("check_output_regulated", "D1", 1),
     ("check_output_regulated", "D2", 1),

@@ -18,7 +18,7 @@ from ddreg import (
     compatible_set_unknown_a3,
     member_at,
 )
-from ddreg import analysis, lmi, simulation
+from ddreg import analysis, lmi, model, simulation
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
 from ddreg.model import RESIDUAL_RTOL, within_tolerance
@@ -104,6 +104,24 @@ def test_arrays_are_read_only():
     problem = scalar_problem()
     assert not problem.data.X2.flags.writeable
     assert not problem.known.A1.flags.writeable
+
+
+def test_without_a3_keeps_the_checked_known_matrices(monkeypatch):
+    problem = regulable_instance(0).problem
+    conversions = []
+    convert = model._as_matrix
+
+    def counting(name, *args):
+        conversions.append(name)
+        return convert(name, *args)
+
+    monkeypatch.setattr(model, "_as_matrix", counting)
+    withheld = problem.without_a3()
+    assert conversions == []
+    assert withheld.known.A3 is None and problem.known.A3 is not None
+    for name in ("A1", "D1", "D2", "E"):
+        assert getattr(withheld.known, name) is getattr(problem.known, name)
+    assert withheld.data is problem.data
 
 
 def test_kernel_basis_is_orthonormal():

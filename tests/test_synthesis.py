@@ -32,8 +32,11 @@ from ddreg import (
     w_residual,
     w_system,
 )
-from ddreg.examples import REFERENCE, fixture_text
+from ddreg.analysis import unvec
+from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
+from ddreg.model import within_tolerance
+from ddreg.synthesis import _family_w_system, _solve_w
 
 from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
@@ -406,3 +409,79 @@ def test_traced_names_are_distinct_functions():
     ]
     assert all(callable(f) for f in functions)
     assert len({id(f) for f in functions}) == len(TARGETS)
+
+
+def _square_identified(problem):
+    """The family system of an identified family with p = m, or None for any other problem."""
+    family = compatible_set(problem)
+    rows = problem.n2 + problem.m
+    lhs, rhs, P = _family_w_system(problem, family, rows)
+    if family.r or lhs.shape[0] != lhs.shape[1]:
+        return None
+    return family, rows, lhs, rhs, P
+
+
+def test_the_lu_route_agrees_with_least_squares():
+    problems = [regulable_instance(seed).problem for seed in range(100)]
+    problems += [fixture_problem(name) for name in EXAMPLE_NAMES]
+    checked = 0
+    for problem in problems:
+        square = _square_identified(problem)
+        if square is None:
+            continue
+        family, rows, lhs, rhs, P = square
+        Y, residual, feasible = _solve_w(problem, family, rows)
+        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        Y_lstsq = P @ unvec(sol, (rows, problem.n1))
+        lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
+        assert feasible == within_tolerance(lstsq_residual, float(np.linalg.norm(rhs)))
+        assert np.linalg.norm(Y - Y_lstsq) <= 1e-10 * np.linalg.norm(Y_lstsq)
+        if feasible:  # the LU solution is the one returned
+            assert np.array_equal(Y, unvec(np.linalg.solve(lhs, rhs), (rows, problem.n1)))
+        checked += 1
+    assert checked >= 40
+
+
+def test_a_singular_square_system_reports_the_least_squares_residual():
+    # With D2 = 0 and E = 0 the output rows of the square system vanish:
+    # LU finds the operator singular, and D1 = 0 cannot hold.
+    problem = next(
+        p for p in (regulable_instance(seed).problem for seed in range(100))
+        if _square_identified(p) is not None
+    )
+    known = problem.known
+    silent = KnownMatrices(
+        A1=known.A1, A3=known.A3, D1=known.D1,
+        D2=np.zeros_like(known.D2), E=np.zeros_like(known.E),
+    )
+    problem = build_problem(problem.data, silent)
+    _, _, lhs, rhs, _ = _square_identified(problem)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(lhs, rhs)
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    residual = float(np.linalg.norm(lhs @ sol - rhs))
+    assert residual == pytest.approx(np.linalg.norm(known.D1), rel=1e-9)
+    outcome = check_condition2(problem)
+    assert not outcome.holds
+    assert outcome.diagnostics["w_residual"] == pytest.approx(residual, rel=1e-12)
+    assert f"regulator equations infeasible (residual {residual:.3e})" in outcome.reasons
+
+
+def test_an_lu_solution_that_misses_the_residual_rule_falls_back(monkeypatch):
+    # The W system is the one solve with a vector right-hand side; an LU
+    # answer off by one in every entry misses the rule, and least squares
+    # decides instead.
+    problem = fixture_problem("scalar")
+    family, rows, lhs, rhs, _ = _square_identified(problem)
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
+    solve = np.linalg.solve
+
+    def off_by_one(a, b):
+        return solve(a, b) + (1.0 if np.ndim(b) == 1 else 0.0)
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_one)
+    Y, residual, feasible = _solve_w(problem, family, rows)
+    assert feasible
+    assert residual == lstsq_residual
+    assert np.array_equal(Y, unvec(sol, (rows, problem.n1)))

@@ -138,3 +138,32 @@ def test_verification_rejects_a_gain_of_the_wrong_shape(field, shape):
     message = f"{field} must have shape {PLANAR_GAIN_SHAPES[field]}, got {shape}"
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         verify_regulator(wrong_shape_regulator(field, shape), family, problem.known)
+
+
+def _family_of_another_shape(field):
+    family = synthesize(_problem("fixture", "planar")).family
+    if field == "A2_part":
+        return synthesize(_problem("fixture", "scalar")).family
+    if field == "B2_part":
+        return replace(family, B2_part=np.hstack([family.B2_part, family.B2_part]))
+    return replace(family, A3_part=family.A3_part[:, :2])
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        pytest.param("A2_part", "cset.A2_part must have shape (n2, n2) = (2, 2), got (1, 1); "
+                     "n2 is read from known.D2", id="A2_part"),
+        pytest.param("B2_part", "cset.B2_part must have shape (n2, m) = (2, 1), got (2, 2); "
+                     "m is read from known.E", id="B2_part"),
+        pytest.param("A3_part", "cset.A3_part must have shape (n2, n1) = (2, 3), got (2, 2); "
+                     "n1 is read from known.A1", id="A3_part"),
+    ],
+)
+def test_verification_rejects_a_family_of_other_known_matrices(field, message):
+    # The scalar fixture's family with the planar fixture's regulator and
+    # known matrices used to fail on the internal closed loop M.
+    problem = _problem("fixture", "planar")
+    regulator = synthesize(problem).regulator
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        verify_regulator(regulator, _family_of_another_shape(field), problem.known)
