@@ -88,9 +88,15 @@ def spectral_info(M) -> SpectralInfo:
     returns real eigenvalues with zero imaginary part and complex ones as
     exact conjugate pairs.  A matrix is stable when its spectral radius
     is below 1 - UNIT_CIRCLE_MARGIN and anti-stable when every eigenvalue
-    modulus is at least 1 - UNIT_CIRCLE_MARGIN.
+    modulus is at least 1 - UNIT_CIRCLE_MARGIN.  M is checked to be
+    square and finite; the program's own callers pass matrices they have
+    checked to _spectrum, which classifies without converting.
     """
     M, _ = _as_square("M", M, "n")
+    return _spectrum(M)
+
+
+def _spectrum(M: np.ndarray) -> SpectralInfo:
     if M.shape[0] == 0:
         return SpectralInfo(np.array([], dtype=complex), 0.0, True, True)
     eigenvalues = np.linalg.eigvals(M).astype(complex)
@@ -105,9 +111,17 @@ def spectral_info(M) -> SpectralInfo:
 
 
 def require_anti_stable(A1) -> None:
-    """Raise AntiStabilityError unless the exosystem matrix A1 is anti-stable."""
+    """Raise AntiStabilityError unless the exosystem matrix A1 is anti-stable.
+
+    A1 is converted and checked once; _require_anti_stable is the test
+    on a matrix that is already checked.
+    """
     A1, _ = _as_square("A1", A1, "n1")
-    if not spectral_info(A1).is_anti_stable:
+    _require_anti_stable(A1)
+
+
+def _require_anti_stable(A1: np.ndarray) -> None:
+    if not _spectrum(A1).is_anti_stable:
         raise AntiStabilityError(
             "A1 must be anti-stable: stable exosystem modes decay on their own "
             "and make the data uninformative about regulation"
@@ -129,7 +143,9 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
     (k, n2, n1): the k right-hand sides share one solve and T has the
     same shape.  Raises NonFiniteError when A3 has a non-finite entry
     and SingularOperatorError when the spectra of A1 and A2 intersect
-    within tolerance, which makes the operator singular.
+    within tolerance, which makes the operator singular.  The shape and
+    finiteness checks run here; _sylvester solves for arguments that
+    are already checked.
     """
     A1, _ = _as_square("A1", A1, "n1")
     A2, _ = _as_square("A2", A2, "n2")
@@ -141,6 +157,11 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
         )
     if not np.isfinite(A3).all():
         raise NonFiniteError("A3 contains non-finite entries")
+    return _sylvester(A1, A2, A3)
+
+
+def _sylvester(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray) -> np.ndarray:
+    n1, n2 = A1.shape[0], A2.shape[0]
     L = sylvester_operator(A1, A2)
     s = np.linalg.svd(L, compute_uv=False)
     if s.size == 0 or s[-1] <= _SINGULAR_RTOL * max(1.0, s[0]):
@@ -181,10 +202,10 @@ def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     ||D1||.  Every matrix is checked for finiteness and shape first.
     """
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
-    require_anti_stable(A1)
-    if not spectral_info(A2).is_stable:
+    _require_anti_stable(A1)
+    if not _spectrum(A2).is_stable:
         return RegulationCheck(regulated=False, T=None, output_residual=None)
-    T = solve_sylvester(A1, A2, A3)
+    T = _sylvester(A1, A2, A3)
     residual = float(np.linalg.norm(D1 + D2 @ T))
     regulated = within_tolerance(residual, float(np.linalg.norm(D1)))
     return RegulationCheck(regulated=regulated, T=T, output_residual=residual)
@@ -211,7 +232,7 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))
     E = _as_matrix("E", E, ("p", D1.shape[0], "D1"), ("m", B2.shape[1], "B2"))
-    require_anti_stable(A1)
+    _require_anti_stable(A1)
     n1, n2, m = A1.shape[0], A2.shape[0], B2.shape[1]
     I1 = np.eye(n1)
     top = np.hstack([sylvester_operator(A1, A2), -kron(I1, B2)])

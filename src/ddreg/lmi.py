@@ -243,11 +243,10 @@ def _doubling(A: np.ndarray, G: np.ndarray | None, rtol: float) -> np.ndarray:
             A = A @ WA
             H = H + step
             # numpy's own Frobenius norm of these C-contiguous arrays.
-            h, d = H.ravel(), step.ravel()
-            size = math.sqrt(h @ h)
+            size = math.sqrt(np.vdot(H, H))
             if not math.isfinite(size):
                 break
-            if math.sqrt(d @ d) <= rtol * size:
+            if math.sqrt(np.vdot(step, step)) <= rtol * size:
                 # Symmetric up to roundoff; X Theta = P must be symmetric.
                 return 0.5 * (H + H.T)
     raise np.linalg.LinAlgError("doubling iteration did not converge")

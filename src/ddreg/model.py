@@ -51,6 +51,8 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 UNIT_CIRCLE_MARGIN = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
 
 def within_tolerance(residual: float, reference: float) -> bool:
     """The relative-residual rule: residual <= RESIDUAL_RTOL * (1 + reference)."""
@@ -80,9 +82,13 @@ def require_shape(name: str, arr: np.ndarray, *dims: tuple) -> None:
     off the matrix named source; a size of None leaves that axis free.  The
     message names, once, the source of each size that arr misses.
     """
+    if arr.ndim == len(dims):
+        for got, dim in zip(arr.shape, dims):
+            if dim[1] is not None and dim[1] != got:
+                break
+        else:
+            return
     expected = tuple(got if dim[1] is None else dim[1] for got, dim in zip(arr.shape, dims))
-    if arr.ndim == len(dims) and arr.shape == expected:
-        return
     labels = ", ".join(dim[0] for dim in dims)
     sources = ", ".join(dict.fromkeys(
         f"{dim[0]} is read from {dim[2]}"
@@ -126,8 +132,7 @@ def rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank with cutoff max(shape) * eps * sigma_max."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    tol = max(shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > tol))
+    return int(np.count_nonzero(s > max(shape) * _EPS * s[0]))
 
 
 @dataclass(frozen=True, eq=False)

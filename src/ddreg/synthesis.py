@@ -38,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import assemble_gains, kron, require_anti_stable, solve_sylvester, spectral_info, unvec, vec
+from .analysis import _require_anti_stable, _spectrum, _sylvester, kron, unvec, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
     KnownMatrices,
+    NonFiniteError,
     Problem,
     Regulator,
     SynthesisReport,
@@ -166,12 +167,16 @@ def w_residual(problem: Problem, W) -> float:
 def _family_w_system(problem: Problem, family: CompatibleSet, rows: int):
     # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
     # the data equations become those of the family's particular member.
-    # The first rows of the family's blocks are those of G.
+    # The first rows of the family's blocks are those of G.  An
+    # identified family (r = 0) has P = I, and its products are skipped.
     known, n2, m = problem.known, problem.n2, problem.m
-    S = np.vstack([family.S1, family.S2, family.S3])[:rows]
     M = np.hstack([family.A2_part, family.B2_part, family.A3_part])[:, :rows]
-    P = np.eye(rows) - S @ S.T
-    lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M @ P)
+    P = np.eye(rows)
+    if family.r:
+        S = np.vstack([family.S1, family.S2, family.S3])[:rows]
+        P -= S @ S.T
+        M = M @ P
+    lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M)
     return lhs, rhs, P
 
 
@@ -264,9 +269,15 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     G = [X2_minus; U_minus (; X1_minus)], by LU when they are square and
     the family has r = 0, else by least squares, and must hold
     within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
-    and the witness W = G^+ [T; V] comes from the SVD of G.
+    and the witness W = G^+ [T; V] comes from the SVD of G.  Raises
+    DimensionError naming the block of a given family that does not fit
+    the problem's n2, m and n1.
     """
-    family = family or compatible_set(problem)
+    if family is None:
+        family = compatible_set(problem)
+    else:
+        n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
+        _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
     lmi = solve_lmi(_lmi_for(problem, ()))
     regression = _regression(problem)
     Y, residual, w_ok = _solve_w(problem, family, len(regression.G))
@@ -282,7 +293,7 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     n2, m = problem.n2, problem.m
     K2 = problem.data.U_minus @ lmi.X_dagger
     regulator = Regulator(
-        K1=assemble_gains(Y[:n2], Y[n2 : n2 + m], K2),
+        K1=-K2 @ Y[:n2] + Y[n2 : n2 + m],
         K2=K2,
         provenance=_provenance("condition2", problem),
         W=W,
@@ -322,8 +333,11 @@ def _synthesize(problem: Problem) -> SynthesisResult:
     # The conditions read only the data, so data that no system could
     # have produced would pass them; raises InconsistentDataError.
     family = compatible_set(problem)
-    require_anti_stable(problem.known.A1)
-    rank = _rank_x2_minus(problem)
+    _require_anti_stable(problem.known.A1)
+    # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
+    # sigma_min(G) > tol(G) >= tol(X2_minus) when G has full row rank
+    # (r = 0): its rank is n2 without a second SVD.
+    rank = _rank_x2_minus(problem) if family.r else problem.n2
     report = SynthesisReport(rank_X2_minus=rank)
     if rank < problem.n2:
         report.messages.append(
@@ -391,36 +405,63 @@ def require_gain_shapes(regulator: Regulator, known: KnownMatrices) -> None:
     require_shape("K2", regulator.K2, ("m", known.m), ("n2", known.n2))
 
 
+def _require_family(name: str, family: CompatibleSet, n1: tuple, n2: tuple, m: tuple) -> None:
+    """Raise DimensionError naming the first block of family that misfits n1, n2 or m.
+
+    Each of n1, n2 and m is a dim of require_shape; r is read off S1.
+    """
+    require_shape(f"{name}.A2_part", family.A2_part, n2, n2)
+    require_shape(f"{name}.B2_part", family.B2_part, n2, m)
+    require_shape(f"{name}.A3_part", family.A3_part, n2, n1)
+    require_shape(f"{name}.S1", family.S1, n2, ("r", None))
+    r = ("r", family.S1.shape[1], f"{name}.S1")
+    require_shape(f"{name}.S2", family.S2, m, r)
+    require_shape(f"{name}.S3", family.S3, n1, r)
+
+
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
     require_gain_shapes(regulator, known)
     n1, n2 = ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2")
-    m = ("m", known.m, "known.E")
-    require_shape("cset.A2_part", cset.A2_part, n2, n2)
-    require_shape("cset.B2_part", cset.B2_part, n2, m)
-    require_shape("cset.A3_part", cset.A3_part, n2, n1)
-    require_anti_stable(known.A1)
+    _require_family("cset", cset, n1, n2, ("m", known.m, "known.E"))
+    _require_anti_stable(known.A1)
     K1, K2 = regulator.K1, regulator.K2
-    A_cl = cset.A2_part + cset.B2_part @ K2
-    spread = float(np.linalg.norm(cset.S1.T + cset.S2.T @ K2))
-    loop = spectral_info(A_cl)
-    residuals = {"closed_loop_spread": spread}
-    passed = loop.is_stable and within_tolerance(spread, float(np.linalg.norm(K2)))
-    if loop.is_stable:
-        # The member at N has T(N) = T0 + sum_ij N_ij T_ij, where T_ij
-        # solves the Sylvester equation for e_i c_j^T and c_j^T is row j
-        # of S3^T + S2^T K1; the output is affine in N the same way.
-        C = cset.S3.T + cset.S2.T @ K1
-        directions = np.einsum("ik,jl->ijkl", np.eye(cset.n2), C)
-        rhs = np.concatenate(
-            [[cset.A3_part + cset.B2_part @ K1], directions.reshape(-1, cset.n2, known.n1)]
-        )
-        outputs = (known.D2 + known.E @ K2) @ solve_sylvester(known.A1, A_cl, rhs)
-        outputs[0] += known.D1 + known.E @ K1
-        norms = np.linalg.norm(outputs, axis=(1, 2))
-        residuals["output_offset"] = float(norms[0])
-        residuals["output_direction"] = float(norms[1:].max(initial=0.0))
-        reference = float(np.linalg.norm(known.D1))
-        passed = passed and bool(within_tolerance(norms.max(), reference))
+    # Gains that overflow end in NonFiniteError when the closed loop, or
+    # for a stable closed loop a Sylvester right-hand side, is not
+    # finite, and in a failed verdict otherwise; numpy warns of neither.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_cl = cset.A2_part + cset.B2_part @ K2
+        if not np.isfinite(A_cl).all():
+            raise NonFiniteError(
+                "the closed loop cset.A2_part + cset.B2_part K2 contains non-finite entries"
+            )
+        spread = float(np.linalg.norm(cset.S1.T + cset.S2.T @ K2))
+        loop = _spectrum(A_cl)
+        residuals = {"closed_loop_spread": spread}
+        passed = loop.is_stable and within_tolerance(spread, float(np.linalg.norm(K2)))
+        if loop.is_stable:
+            # The member at N has T(N) = T0 + sum_ij N_ij T_ij, where T_ij
+            # solves the Sylvester equation for e_i c_j^T and c_j^T is row
+            # j of S3^T + S2^T K1; the output is affine in N the same way.
+            # An identified family (r = 0) has no directions.
+            rhs = (cset.A3_part + cset.B2_part @ K1)[None]
+            if cset.r:
+                C = cset.S3.T + cset.S2.T @ K1
+                directions = np.einsum("ik,jl->ijkl", np.eye(cset.n2), C)
+                rhs = np.concatenate([rhs, directions.reshape(-1, cset.n2, known.n1)])
+            if not np.isfinite(rhs).all():
+                named = (
+                    "right-hand sides cset.A3_part + cset.B2_part K1 and "
+                    "cset.S3^T + cset.S2^T K1 contain" if cset.r else
+                    "right-hand side cset.A3_part + cset.B2_part K1 contains"
+                )
+                raise NonFiniteError(f"the Sylvester {named} non-finite entries")
+            outputs = (known.D2 + known.E @ K2) @ _sylvester(known.A1, A_cl, rhs)
+            outputs[0] += known.D1 + known.E @ K1
+            norms = np.linalg.norm(outputs, axis=(1, 2))
+            residuals["output_offset"] = float(norms[0])
+            residuals["output_direction"] = float(norms[1:].max(initial=0.0))
+            reference = float(np.linalg.norm(known.D1))
+            passed = passed and bool(within_tolerance(norms.max(), reference))
     return VerificationReport(
         passed=passed, rho_bound=loop.spectral_radius, residuals=residuals
     )
@@ -445,9 +486,13 @@ def verify_regulator(
     within_tolerance of ||D1||, as in check_output_regulated.  cset
     supplies the family; known supplies A1 and the output matrices.
     Raises DimensionError, via require_gain_shapes, when a gain does not
-    fit known, and naming cset.A2_part, cset.B2_part or cset.A3_part
-    when the family's systems do not fit known.  samples is accepted for
-    older callers and ignored.
+    fit known, naming cset.A2_part, cset.B2_part or cset.A3_part when
+    the family's systems do not fit known, and naming cset.S2 or cset.S3
+    when a kernel block does not fit the r of cset.S1.  Raises
+    NonFiniteError when the closed loop is not finite, or when it is
+    stable and a Sylvester right-hand side is not, for instance because
+    large gains overflow; an unstable closed loop fails without solving.
+    samples is accepted for older callers and ignored.
     """
     return _verify_regulator(regulator, cset, known)
 

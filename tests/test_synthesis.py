@@ -1,6 +1,7 @@
 """End-to-end informativity decisions and gain synthesis."""
 
 import importlib
+import re
 import runpy
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import ddreg
 from ddreg import (
     AntiStabilityError,
+    DimensionError,
     InconsistentDataError,
     KnownMatrices,
     LmiProblem,
@@ -485,3 +487,41 @@ def test_an_lu_solution_that_misses_the_residual_rule_falls_back(monkeypatch):
     assert feasible
     assert residual == lstsq_residual
     assert np.array_equal(Y, unvec(sol, (rows, problem.n1)))
+
+
+def test_condition2_names_a_family_of_another_problem():
+    # The planar family used to reach the regulator-equation solve and
+    # end in numpy's broadcast error.
+    family = synthesize(fixture_problem("planar")).family
+    message = "family.A2_part must have shape (n2, n2) = (1, 1), got (2, 2); n2 is read from X2"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        check_condition2(fixture_problem("scalar"), family)
+
+
+@pytest.mark.parametrize("name", ["scalar", "corpus-0"])
+def test_an_identified_decision_checks_each_matrix_once_and_factors_it_once(name, monkeypatch):
+    # Both problems identify the endosystem (r = 0).  synthesize factors
+    # G for the family and the right-inverse constraints for the LMI, and
+    # converts LmiProblem's X and Z and the Regulator's five matrices;
+    # verification adds the Sylvester operator's SVD and no conversion.
+    problem = fixture_problem("scalar") if name == "scalar" else regulable_instance(0).problem
+    counts = {"svd": 0, "_as_matrix": 0}
+    svd, as_matrix = np.linalg.svd, ddreg.model._as_matrix
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_as_matrix(*args, **kwargs):
+        counts["_as_matrix"] += 1
+        return as_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for module in (ddreg.model, ddreg.analysis, ddreg.lmi, ddreg.synthesis, ddreg.simulation):
+        if hasattr(module, "_as_matrix"):
+            monkeypatch.setattr(module, "_as_matrix", counting_as_matrix)
+    result = synthesize(problem)
+    assert result.family.r == 0
+    assert counts == {"svd": 2, "_as_matrix": 7}
+    verify_regulator(result.regulator, result.family, problem.known)
+    assert counts == {"svd": 3, "_as_matrix": 7}

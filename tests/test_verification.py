@@ -9,6 +9,7 @@ import pytest
 from ddreg import (
     DimensionError,
     KnownMatrices,
+    NonFiniteError,
     Regulator,
     build_problem,
     check_output_regulated,
@@ -167,3 +168,72 @@ def test_verification_rejects_a_family_of_other_known_matrices(field, message):
     regulator = synthesize(problem).regulator
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         verify_regulator(regulator, _family_of_another_shape(field), problem.known)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        pytest.param("S3", "cset.S3 must have shape (n1, r) = (3, 1), got (2, 1); "
+                     "n1 is read from known.A1", id="S3"),
+        pytest.param("S2", "cset.S2 must have shape (m, r) = (1, 1), got (1, 2); "
+                     "r is read from cset.S1", id="S2"),
+    ],
+)
+def test_verification_checks_the_kernel_blocks_against_each_other(field, message):
+    # A short S3 used to end in numpy's broadcast error, and a wide S2
+    # broadcast silently and returned a verdict.
+    problem = _problem("fixture", "planar")
+    result = synthesize(problem)
+    family = result.family
+    bad = {"S3": family.S3[:2], "S2": np.hstack([family.S2, family.S2])}[field]
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        verify_regulator(result.regulator, replace(family, **{field: bad}), problem.known)
+
+
+@pytest.mark.parametrize(
+    "gain, named",
+    [
+        pytest.param(
+            "K2", "the closed loop cset.A2_part + cset.B2_part K2 contains non-finite entries",
+            id="closed-loop",
+        ),
+        # corpus-0 is identified (r = 0), so no kernel term is formed.
+        pytest.param(
+            "K1", "the Sylvester right-hand side cset.A3_part + cset.B2_part K1 contains "
+            "non-finite entries", id="sylvester-rhs",
+        ),
+    ],
+)
+def test_gains_that_overflow_end_in_a_named_non_finite_error(gain, named):
+    # corpus-0 has m = 2 and a row of B2_part near (1, 1), so gains of
+    # 1e308 overflow the matrix they multiply into; numpy's overflow
+    # warning would fail the test (pyproject.toml).
+    problem = _problem("regulable", 0)
+    result = synthesize(problem)
+    gains = {"K1": result.regulator.K1, "K2": result.regulator.K2}
+    gains[gain] = np.full_like(gains[gain], 1e308)
+    regulator = Regulator(provenance="condition2", **gains)
+    assert result.family.r == 0
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(named)}$"):
+        verify_regulator(regulator, result.family, problem.known)
+
+
+def test_an_overflowing_right_hand_side_of_a_family_with_kernel_names_both_terms():
+    # The planar family has r = 1.  Its B2_part, scaled by 1e10 against
+    # a K2 scaled by 1e-10, keeps the closed loop stable and makes a K1
+    # of 1e308 overflow the Sylvester right-hand sides.
+    problem = _problem("fixture", "planar")
+    result = synthesize(problem)
+    assert result.family.r == 1
+    family = replace(result.family, B2_part=result.family.B2_part * 1e10)
+    regulator = Regulator(
+        provenance="condition2",
+        K1=np.full_like(result.regulator.K1, 1e308),
+        K2=result.regulator.K2 * 1e-10,
+    )
+    message = (
+        "the Sylvester right-hand sides cset.A3_part + cset.B2_part K1 and "
+        "cset.S3^T + cset.S2^T K1 contain non-finite entries"
+    )
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+        verify_regulator(regulator, family, problem.known)
