@@ -6,9 +6,10 @@ reproduces the measured transitions is "compatible" with the data; the
 set of compatible systems is an affine family, and a regulator counts as
 data-driven only if it works for each member of that family.  This module
 holds the data containers, the known-matrix container, the affine family
-(particular solution plus orthonormal kernel parametrization), the
-result types shared by the synthesis layer and the numerical policy of
-every layer, which no function takes as a parameter.
+(particular solution, orthonormal kernel parametrization and the
+regression it was fitted from, with its SVD), the result types shared
+by the synthesis layer and the numerical policy of every layer, which
+no function takes as a parameter.  Nothing writes to a built Problem.
 """
 
 from __future__ import annotations
@@ -231,10 +232,6 @@ class Problem:
 
     data: ProblemData
     known: KnownMatrices
-    # Not a field: the regression that the last build of this problem's
-    # family factored, for the conditions of the same decision to read
-    # (see _regression).  The arrays are read-only, so it cannot go stale.
-    _built_regression = None
 
     @property
     def tau(self) -> int:
@@ -288,7 +285,10 @@ class CompatibleSet:
     of the kernel of the stacked regressors [X2_minus; U_minus; X1_minus]
     transposed.  With a known coupling the X1_minus block drops out, so
     A3_part is the known A3 and S3 = 0.  r = 0 means the data identify
-    the endosystem uniquely.
+    the endosystem uniquely.  The members solve M G = Z, with
+    G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
+    stacked under G and Z = X2_plus when A3 is None; the SVD of G that
+    built the family is kept for the conditions, and G and Z are read-only.
     """
 
     A2_part: np.ndarray
@@ -298,6 +298,8 @@ class CompatibleSet:
     S2: np.ndarray
     S3: np.ndarray
     residual: float
+    G: np.ndarray
+    Z: np.ndarray
 
     @property
     def r(self) -> int:
@@ -307,54 +309,40 @@ class CompatibleSet:
     def n2(self) -> int:
         return self.A2_part.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class _Regression:
-    """The regression M G = Z whose solutions M are the compatible systems.
-
-    G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or with
-    X1_minus stacked under G and Z = X2_plus when A3 is None.  svd is
-    computed on first use.
-    """
-
-    G: np.ndarray
-    Z: np.ndarray
-
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(U, s, Vh[:k], k) of G = U diag(s) Vh, k its rank with the cutoff of lstsq(rcond=None)."""
-        U, s, Vh = np.linalg.svd(self.G)
-        k = rank_from_singular_values(s, self.G.shape)
-        return U, s, Vh[:k].copy(), k
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """_factor(G); compatible_set sets it, a family built by hand factors G on first use."""
+        return _factor(self.G)
 
-    def pinv_apply(self, Y: np.ndarray) -> np.ndarray:
+    def _pinv_apply(self, Y: np.ndarray) -> np.ndarray:
         """G^+ Y, the least-squares solution of G W = Y that lstsq(G, Y, rcond=None) returns."""
-        U, s, Vh, k = self.svd
+        U, s, Vh, k = self._svd
         return Vh.T @ ((U[:, :k].T @ Y) / s[:k, None])
 
 
-def _stack(problem: Problem) -> _Regression:
+def _factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(U, s, Vh[:k], k) of G = U diag(s) Vh, k its rank with the cutoff of lstsq(rcond=None)."""
+    U, s, Vh = np.linalg.svd(G)
+    k = rank_from_singular_values(s, G.shape)
+    return U, s, Vh[:k].copy(), k
+
+
+def _stack(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """(G, Z) of the regression M G = Z in problem's coupling mode (see CompatibleSet)."""
     data, A3 = problem.data, problem.known.A3
     if A3 is None:
-        return _Regression(np.vstack([data.X2_minus, data.U_minus, data.X1_minus]), data.X2_plus)
-    return _Regression(np.vstack([data.X2_minus, data.U_minus]), data.X2_plus - A3 @ data.X1_minus)
-
-
-def _regression(problem: Problem) -> _Regression:
-    """The regression of problem in its coupling mode; the family builder's when it ran."""
-    built = problem._built_regression
-    return _stack(problem) if built is None else built
+        return np.vstack([data.X2_minus, data.U_minus, data.X1_minus]), data.X2_plus
+    return np.vstack([data.X2_minus, data.U_minus]), data.X2_plus - A3 @ data.X1_minus
 
 
 def _compatible_set(problem: Problem) -> CompatibleSet:
     data, known = problem.data, problem.known
     n2, m = data.n2, data.m
-    regression = _stack(problem)
-    G, Z = regression.G, regression.Z
+    G, Z = _stack(problem)
     rhs = "||X2_plus||" if known.A3 is None else "||X2_plus - A3 X1_minus||"
     # One SVD gives the rank (with the cutoff of lstsq(rcond=None)), the
     # least-squares solution M = Z G^+ and the kernel basis S.
-    U, s, Vh, r = regression.svd
+    U, s, Vh, r = svd = _factor(G)
     S = U[:, r:]
     with np.errstate(over="ignore", invalid="ignore"):
         M = ((Z @ Vh.T) / s[:r]) @ U[:, :r].T
@@ -370,20 +358,17 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
             f"no system matches the measured transitions: residual {residual:.3e} "
             f"exceeds {RESIDUAL_RTOL:.1e} * (1 + {rhs})"
         )
-    _assign(problem, _built_regression=regression)
     if known.A3 is None:
         A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
     else:
         A3_part, S3 = known.A3, np.zeros((data.n1, S.shape[1]))
-    return CompatibleSet(
-        A2_part=M[:, :n2],
-        B2_part=M[:, n2 : n2 + m],
-        A3_part=A3_part,
-        S1=S[:n2],
-        S2=S[n2 : n2 + m],
-        S3=S3,
-        residual=residual,
+    family = CompatibleSet(
+        A2_part=M[:, :n2], B2_part=M[:, n2 : n2 + m], A3_part=A3_part,
+        S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, residual=residual, G=G, Z=Z,
     )
+    G.flags.writeable = Z.flags.writeable = False  # so _svd cannot go stale
+    _assign(family, _svd=svd)
+    return family
 
 
 def compatible_set(problem: Problem) -> CompatibleSet:

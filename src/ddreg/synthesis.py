@@ -42,13 +42,14 @@ from .analysis import _require_anti_stable, _spectrum, _sylvester, kron, unvec, 
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
+    InconsistentDataError,
     KnownMatrices,
     NonFiniteError,
     Problem,
     Regulator,
     SynthesisReport,
     _as_matrix,
-    _regression,
+    _stack,
     compatible_set,
     rank_from_singular_values,
     require_shape,
@@ -105,17 +106,36 @@ class SynthesisResult:
     family: CompatibleSet
 
 
-def _rank_x2_minus(problem: Problem) -> int:
+def _family_for(problem: Problem, family: CompatibleSet | None) -> CompatibleSet:
+    """The family of problem, built when None; a given one must fit its sizes and data."""
+    if family is None:
+        return compatible_set(problem)
+    n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
+    _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
+    unknown, tau = problem.known.A3 is None, ("tau", problem.tau, "U_minus")
+    rows = problem.n2 + problem.m + (problem.n1 if unknown else 0)
+    require_shape("family.G", family.G, ("n2+m+n1" if unknown else "n2+m", rows), tau)
+    require_shape("family.Z", family.Z, n2, tau)
+    for name, given, own in zip(("family.G", "family.Z"), (family.G, family.Z), _stack(problem)):
+        if not np.array_equal(given, own):
+            raise InconsistentDataError(f"{name} is not the regression of the problem's data")
+    return family
+
+
+def _rank_x2_minus(problem: Problem, family: CompatibleSet) -> int:
+    # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
+    # sigma_min(G) > tol(G) >= tol(X2_minus) when G has full row rank
+    # (r = 0): its rank is n2 without a second SVD.
+    if not family.r:
+        return problem.n2
     X = problem.data.X2_minus
-    s = np.linalg.svd(X, compute_uv=False)
-    return rank_from_singular_values(s, X.shape)
+    return rank_from_singular_values(np.linalg.svd(X, compute_uv=False), X.shape)
 
 
-def _lmi_for(problem: Problem, constraints: tuple[np.ndarray, ...]) -> LmiProblem:
+def _lmi_for(problem: Problem, family: CompatibleSet, constraints: tuple) -> LmiProblem:
     if problem.known.A3 is None:
         constraints = constraints + (problem.data.X1_minus,)
-    Z = _regression(problem).Z
-    return LmiProblem(X=problem.data.X2_minus, Z=Z, equality_constraints=constraints)
+    return LmiProblem(X=problem.data.X2_minus, Z=family.Z, equality_constraints=constraints)
 
 
 def _provenance(name: str, problem: Problem) -> str:
@@ -136,9 +156,8 @@ def _w_system(known: KnownMatrices, X2, U, X1, Z) -> tuple[np.ndarray, np.ndarra
 
 
 def _data_w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    regression = _regression(problem)
-    G, n2, m = regression.G, problem.n2, problem.m
-    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], regression.Z)
+    (G, Z), n2, m = _stack(problem), problem.n2, problem.m
+    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], Z)
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +183,12 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _family_w_system(problem: Problem, family: CompatibleSet, rows: int):
+def _family_w_system(problem: Problem, family: CompatibleSet):
     # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
     # the data equations become those of the family's particular member.
     # The first rows of the family's blocks are those of G.  An
     # identified family (r = 0) has P = I, and its products are skipped.
-    known, n2, m = problem.known, problem.n2, problem.m
+    known, n2, m, rows = problem.known, problem.n2, problem.m, len(family.G)
     M = np.hstack([family.A2_part, family.B2_part, family.A3_part])[:, :rows]
     P = np.eye(rows)
     if family.r:
@@ -180,13 +199,13 @@ def _family_w_system(problem: Problem, family: CompatibleSet, rows: int):
     return lhs, rhs, P
 
 
-def _solve_w(problem: Problem, family: CompatibleSet, rows: int):
+def _solve_w(problem: Problem, family: CompatibleSet):
     # An identified family (r = 0) with p = m makes the equations the
     # square Francis equations, which one LU solve decides when their
     # operator is regular.  Every other shape, and an LU solution that is
     # not finite or misses the residual rule, goes to least squares.
-    lhs, rhs, P = _family_w_system(problem, family, rows)
-    shape = (rows, problem.n1)
+    lhs, rhs, P = _family_w_system(problem, family)
+    shape = (len(family.G), problem.n1)
     reference = float(np.linalg.norm(rhs))
     if family.r == 0 and lhs.shape[0] == lhs.shape[1]:
         try:
@@ -208,15 +227,17 @@ def check_endo_stabilization(problem: Problem) -> EndoStabilization:
     Informative iff X2_minus has full row rank and some right-inverse
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
     stabilizes every compatible member.  The certificate must reach
-    LmiProblem.margin.
+    LmiProblem.margin.  It is decided on the problem's compatible family,
+    so data that no system could have produced raise InconsistentDataError.
     """
-    lmi = solve_lmi(_lmi_for(problem, ()))
+    family = compatible_set(problem)
+    lmi = solve_lmi(_lmi_for(problem, family, ()))
     return EndoStabilization(
         informative=lmi.found,
         K2=problem.data.U_minus @ lmi.X_dagger if lmi.found else None,
         X_dagger=lmi.X_dagger,
         lmi=lmi,
-        rank_X2_minus=_rank_x2_minus(problem),
+        rank_X2_minus=_rank_x2_minus(problem, family),
     )
 
 
@@ -226,15 +247,17 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
     )
 
 
-def check_condition1(problem: Problem) -> ConditionOutcome:
+def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
     The right-inverse is constrained so D2 + E K2 vanishes on the data
     (and, when A3 is None, so the right-inverse annihilates X1_minus).
     The image-inclusion test E K1 = -D1, held to within_tolerance of
     ||D1||, runs first; when it already fails the right-inverse is not
-    decided.
+    decided.  It is decided on the family (built when None) and raises
+    the errors of check_condition2; synthesize hands on its own.
     """
+    family = _family_for(problem, family)
     known, data = problem.known, problem.data
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
@@ -243,7 +266,7 @@ def check_condition1(problem: Problem) -> ConditionOutcome:
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
     output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
-    lmi = solve_lmi(_lmi_for(problem, (output_map,)))
+    lmi = solve_lmi(_lmi_for(problem, family, (output_map,)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
@@ -269,18 +292,15 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     G = [X2_minus; U_minus (; X1_minus)], by LU when they are square and
     the family has r = 0, else by least squares, and must hold
     within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
-    and the witness W = G^+ [T; V] comes from the SVD of G.  Raises
-    DimensionError naming the block of a given family that does not fit
-    the problem's n2, m and n1.
+    and the witness W = G^+ [T; V] comes from the family's SVD of G.
+    Building the family raises InconsistentDataError when no system
+    matches the data; a given family raises DimensionError naming its
+    block that misfits the problem's n2, m, n1, coupling mode or tau,
+    and InconsistentDataError naming its G or Z fitted to other data.
     """
-    if family is None:
-        family = compatible_set(problem)
-    else:
-        n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
-        _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
-    lmi = solve_lmi(_lmi_for(problem, ()))
-    regression = _regression(problem)
-    Y, residual, w_ok = _solve_w(problem, family, len(regression.G))
+    family = _family_for(problem, family)
+    lmi = solve_lmi(_lmi_for(problem, family, ()))
+    Y, residual, w_ok = _solve_w(problem, family)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -289,14 +309,13 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    W = regression.pinv_apply(Y)
     n2, m = problem.n2, problem.m
     K2 = problem.data.U_minus @ lmi.X_dagger
     regulator = Regulator(
         K1=-K2 @ Y[:n2] + Y[n2 : n2 + m],
         K2=K2,
         provenance=_provenance("condition2", problem),
-        W=W,
+        W=family._pinv_apply(Y),
         Theta=lmi.Theta,
         X2_dagger=lmi.X_dagger,
     )
@@ -330,14 +349,9 @@ def _informative(problem, report, name, outcome, family) -> SynthesisResult:
 
 
 def _synthesize(problem: Problem) -> SynthesisResult:
-    # The conditions read only the data, so data that no system could
-    # have produced would pass them; raises InconsistentDataError.
     family = compatible_set(problem)
     _require_anti_stable(problem.known.A1)
-    # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
-    # sigma_min(G) > tol(G) >= tol(X2_minus) when G has full row rank
-    # (r = 0): its rank is n2 without a second SVD.
-    rank = _rank_x2_minus(problem) if family.r else problem.n2
+    rank = _rank_x2_minus(problem, family)
     report = SynthesisReport(rank_X2_minus=rank)
     if rank < problem.n2:
         report.messages.append(
@@ -350,7 +364,7 @@ def _synthesize(problem: Problem) -> SynthesisResult:
     _fold(report, second)
     if second.holds:
         return _informative(problem, report, "condition2", second, family)
-    report.condition1 = first = check_condition1(problem)
+    report.condition1 = first = check_condition1(problem, family)
     _fold(report, first)
     if first.holds:
         return _informative(problem, report, "condition1", first, family)

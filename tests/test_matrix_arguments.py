@@ -57,6 +57,7 @@ def _base():
     b.cset = CompatibleSet(
         A2_part=b.A2, B2_part=b.B2, A3_part=b.A3, S1=np.zeros((3, 1)),
         S2=np.zeros((1, 1)), S3=np.zeros((2, 1)), residual=0.0,
+        G=np.zeros((4, 5)), Z=np.zeros((3, 5)),
     )
     return b
 

@@ -3,7 +3,7 @@
 import importlib
 import re
 import runpy
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -417,7 +417,7 @@ def _square_identified(problem):
     """The family system of an identified family with p = m, or None for any other problem."""
     family = compatible_set(problem)
     rows = problem.n2 + problem.m
-    lhs, rhs, P = _family_w_system(problem, family, rows)
+    lhs, rhs, P = _family_w_system(problem, family)
     if family.r or lhs.shape[0] != lhs.shape[1]:
         return None
     return family, rows, lhs, rhs, P
@@ -432,7 +432,7 @@ def test_the_lu_route_agrees_with_least_squares():
         if square is None:
             continue
         family, rows, lhs, rhs, P = square
-        Y, residual, feasible = _solve_w(problem, family, rows)
+        Y, residual, feasible = _solve_w(problem, family)
         sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         Y_lstsq = P @ unvec(sol, (rows, problem.n1))
         lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
@@ -483,7 +483,7 @@ def test_an_lu_solution_that_misses_the_residual_rule_falls_back(monkeypatch):
         return solve(a, b) + (1.0 if np.ndim(b) == 1 else 0.0)
 
     monkeypatch.setattr(np.linalg, "solve", off_by_one)
-    Y, residual, feasible = _solve_w(problem, family, rows)
+    Y, residual, feasible = _solve_w(problem, family)
     assert feasible
     assert residual == lstsq_residual
     assert np.array_equal(Y, unvec(sol, (rows, problem.n1)))
@@ -496,6 +496,133 @@ def test_condition2_names_a_family_of_another_problem():
     message = "family.A2_part must have shape (n2, n2) = (1, 1), got (2, 2); n2 is read from X2"
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         check_condition2(fixture_problem("scalar"), family)
+
+
+CHECKS = [check_endo_stabilization, check_condition1, check_condition2]
+FAMILY_CHECKS = [check_condition1, check_condition2]
+
+
+@pytest.mark.parametrize("check", FAMILY_CHECKS)
+@pytest.mark.parametrize(
+    "mode, rows",
+    [
+        (lambda problem: (problem, problem.without_a3()), "(n2+m, tau) = (2, 3), got (5, 3)"),
+        (lambda problem: (problem.without_a3(), problem), "(n2+m+n1, tau) = (5, 3), got (2, 3)"),
+    ],
+    ids=["known-problem-unknown-family", "unknown-problem-known-family"],
+)
+def test_a_family_of_the_other_coupling_mode_is_named(check, mode, rows):
+    # Both families of the scalar fixture have the problem's n2, m and
+    # n1; only their regressions differ.  Condition 2 used to return a
+    # verdict, and with the unknown-coupling family a K1 that fails
+    # verification against the problem's own family.
+    problem, source = mode(fixture_problem("scalar"))
+    message = f"family.G must have shape {rows}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        check(problem, compatible_set(source))
+
+
+@pytest.mark.parametrize("check", FAMILY_CHECKS)
+def test_a_family_of_other_data_of_the_same_sizes_is_named(check):
+    # Regulable instances 2 and 3 have the same n1, n2, m, p and tau.
+    # Condition 2 used to hold on problem 2 with the family of problem 3,
+    # and its gains failed verification against problem 2's own family
+    # with rho_bound 1.71.
+    problem, other = regulable_instance(2).problem, regulable_instance(3).problem
+    with pytest.raises(InconsistentDataError, match=r"^family\.G is not the regression"):
+        check(problem, compatible_set(other))
+    family = compatible_set(problem)
+    with pytest.raises(InconsistentDataError, match=r"^family\.Z is not the regression"):
+        check(problem, replace(family, Z=family.Z + 1.0))
+    # A family of an equal problem built from copies is the problem's own.
+    data, known = problem.data, problem.known
+    twin = build_problem(
+        ProblemData(U_minus=data.U_minus.copy(), X1_minus=data.X1_minus.copy(), X2=data.X2.copy()),
+        KnownMatrices(A1=known.A1, A3=known.A3.copy(), D1=known.D1, D2=known.D2, E=known.E),
+    )
+    assert _bits(check(problem, compatible_set(twin))) == _bits(check(problem))
+
+
+def test_a_built_family_cannot_be_edited_under_its_factorization():
+    for problem in (fixture_problem("scalar"), fixture_problem("scalar").without_a3()):
+        family = compatible_set(problem)
+        for block in (family.G, family.Z):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_check_rejects_data_no_system_could_have_produced(check):
+    # With E = 1 condition 1 holds and the data closed loop is stable,
+    # yet no system matches the transitions: the checks used to read the
+    # data alone and return a verdict.
+    problem = inconsistent_problem()
+    known = problem.known
+    problem = build_problem(
+        problem.data,
+        KnownMatrices(A1=known.A1, A3=known.A3, D1=known.D1, D2=known.D2, E=[[1.0]]),
+    )
+    with pytest.raises(InconsistentDataError) as expected:
+        synthesize(problem)
+    with pytest.raises(InconsistentDataError) as raised:
+        check(problem)
+    assert str(raised.value) == str(expected.value)
+    assert "residual 3.065e+00" in str(raised.value)
+
+
+def _bits(value):
+    """value with every array and float spelled out exactly, for a bitwise comparison."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, dict) or is_dataclass(value):
+        items = value.items() if isinstance(value, dict) else vars(value).items()
+        return tuple((key, _bits(item)) for key, item in items)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(item) for item in value)
+    return value
+
+
+def _decided_problems():
+    problems = [fixture_problem("scalar"), fixture_problem("planar")]
+    problems += [regulable_instance(seed).problem for seed in range(5)]
+    problems += [coupling_free_instance(seed).problem.without_a3() for seed in range(5)]
+    return problems + [regulable_instance(seed).problem.without_a3() for seed in range(5)]
+
+
+def test_a_check_decides_the_same_with_and_without_its_problems_family():
+    verdicts = set()
+    for problem in _decided_problems():
+        family = compatible_set(problem)
+        for check in FAMILY_CHECKS:
+            alone = check(problem)
+            assert _bits(check(problem, family)) == _bits(alone)
+            # A copy made from the fields factors G again on first use.
+            assert _bits(check(problem, replace(family))) == _bits(alone)
+            verdicts.add((check.__name__, alone.holds))
+    # Condition 1 holds somewhere (on the planar fixture), and fails elsewhere.
+    assert {("check_condition1", True), ("check_condition1", False)} <= verdicts
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        compatible_set,
+        synthesize,
+        synthesize_unknown_a3,
+        w_system,
+        *CHECKS,
+    ],
+)
+def test_no_call_writes_to_the_problem(call):
+    problem = fixture_problem("planar")
+    before = dict(vars(problem))
+    call(problem)
+    assert vars(problem).keys() == before.keys()
+    assert all(vars(problem)[key] is value for key, value in before.items())
 
 
 @pytest.mark.parametrize("name", ["scalar", "corpus-0"])
