@@ -1,9 +1,10 @@
 """Model-based analysis primitives.
 
-Spectral classification, the Sylvester equation, the classical regulator
+Spectral classification, the Sylvester equation, the regulator
 equations and the gain-assembly identity.  These operate on explicit
 system matrices; the data-driven layer reduces to them once a member of
-the compatible family is fixed.
+the compatible family is fixed, and synthesis shares the one Kronecker
+form of the regulator equations and its solver.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .model import (
     DimensionError,
     NonFiniteError,
     _as_matrix,
+    _as_real,
     _as_square,
     within_tolerance,
 )
@@ -149,7 +151,7 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
     """
     A1, _ = _as_square("A1", A1, "n1")
     A2, _ = _as_square("A2", A2, "n2")
-    A3 = np.asarray(A3, dtype=float)
+    A3 = _as_real("A3", A3)
     n1, n2 = A1.shape[0], A2.shape[0]
     if A3.ndim not in (2, 3) or A3.shape[-2:] != (n2, n1):
         raise DimensionError(
@@ -211,9 +213,35 @@ def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     return RegulationCheck(regulated=regulated, T=T, output_residual=residual)
 
 
+def _regulator_system(A1, X, Z, R, C, D1, K=None, Q=None) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of X Y A1 - Z Y = R, (K Y = Q,) D1 + C Y = 0 on vec(Y), rows in that order."""
+    I1 = np.eye(A1.shape[0])
+    blocks, rhs = [kron(A1.T, X) - kron(I1, Z)], [vec(R)]
+    if K is not None:
+        blocks, rhs = blocks + [kron(I1, K)], rhs + [vec(Q)]
+    return np.vstack(blocks + [kron(I1, C)]), np.concatenate(rhs + [-vec(D1)])
+
+
+def _solve_regulator(lhs, rhs, rows: int) -> tuple[np.ndarray, float, bool]:
+    """(Y, residual, holds): LU when square, kept if finite and it holds; else least squares."""
+    reference, shape = float(np.linalg.norm(rhs)), (rows, lhs.shape[1] // rows)
+    if lhs.shape[0] == lhs.shape[1]:
+        try:
+            sol = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None and np.isfinite(sol).all():
+            residual = float(np.linalg.norm(lhs @ sol - rhs))
+            if within_tolerance(residual, reference):
+                return unvec(sol, shape), residual, True
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    residual = float(np.linalg.norm(lhs @ sol - rhs))
+    return unvec(sol, shape), residual, within_tolerance(residual, reference)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalRegulator:
-    """Least-squares solution of the model-based regulator equations."""
+    """Solution of the model-based regulator equations and whether it holds."""
 
     feasible: bool
     T: np.ndarray
@@ -224,7 +252,8 @@ class ClassicalRegulator:
 def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     """Solve T A1 - A2 T - B2 V = A3,  D1 + D2 T + E V = 0 for (T, V).
 
-    Both equations are vectorized, stacked and solved by least squares;
+    The Francis equations for Y = [T; V], with condition 2's builder and
+    solver: LU when p = m makes them square, least squares otherwise;
     the pair is reported infeasible when the residual fails
     within_tolerance of ||rhs||.  Requires A1 anti-stable; every matrix
     is checked for finiteness and shape first.
@@ -233,18 +262,10 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))
     E = _as_matrix("E", E, ("p", D1.shape[0], "D1"), ("m", B2.shape[1], "B2"))
     _require_anti_stable(A1)
-    n1, n2, m = A1.shape[0], A2.shape[0], B2.shape[1]
-    I1 = np.eye(n1)
-    top = np.hstack([sylvester_operator(A1, A2), -kron(I1, B2)])
-    bottom = np.hstack([kron(I1, D2), kron(I1, E)])
-    lhs = np.vstack([top, bottom])
-    rhs = np.concatenate([vec(A3), -vec(D1)])
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = float(np.linalg.norm(lhs @ sol - rhs))
-    T = unvec(sol[: n1 * n2], (n2, n1))
-    V = unvec(sol[n1 * n2 :], (m, n1))
-    feasible = within_tolerance(residual, float(np.linalg.norm(rhs)))
-    return ClassicalRegulator(feasible=feasible, T=T, V=V, residual=residual)
+    n2, m = B2.shape
+    X, Z, C = np.eye(n2, n2 + m), np.hstack([A2, B2]), np.hstack([D2, E])
+    Y, residual, feasible = _solve_regulator(*_regulator_system(A1, X, Z, A3, C, D1), n2 + m)
+    return ClassicalRegulator(feasible=feasible, T=Y[:n2], V=Y[n2:], residual=residual)
 
 
 def assemble_gains(T, V, K2) -> np.ndarray:

@@ -185,7 +185,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_simulate(args, family=None) -> int:
+def cmd_simulate(args) -> int:
     doc = load_problem(args.problem)
     reg_doc = load_regulator(args.regulator)
     regulator = reg_doc.regulator
@@ -203,11 +203,9 @@ def cmd_simulate(args, family=None) -> int:
     known = problem.known
     print(f"seed: {args.seed}")
     with naming(doc.origin):
-        # cmd_example passes the family of its synthesis.
-        if family is None:
-            if regulator.provenance.endswith("_unknown_a3"):
-                problem = problem.without_a3()
-            family = compatible_set(problem)
+        if regulator.provenance.endswith("_unknown_a3"):
+            problem = problem.without_a3()
+        family = compatible_set(problem)
         verification = verify_regulator(regulator, family, known)
     _print_verification(family, verification)
     members = sample_members(family, args.members, args.radius, args.seed)
@@ -265,8 +263,7 @@ def cmd_example(args) -> int:
         computed["X_dagger"] = regulator.X2_dagger
     if regulator.W is not None:
         computed["W"] = regulator.W
-    family = result.family
-    computed["closed_loop"] = family.A2_part + family.B2_part @ regulator.K2
+    computed["closed_loop"] = result.family.A2_part + result.family.B2_part @ regulator.K2
     _print_reference_comparison(name, computed)
 
     simulate_args = argparse.Namespace(
@@ -280,7 +277,7 @@ def cmd_example(args) -> int:
         seed=args.seed,
         radius=5.0,
     )
-    return cmd_simulate(simulate_args, family)
+    return cmd_simulate(simulate_args)
 
 
 def cmd_gen_data(args) -> int:

@@ -65,7 +65,7 @@ class DimensionError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A matrix contains NaN or infinite entries."""
+    """A matrix holds an entry that is not a finite real number, or cannot be read as numbers."""
 
 
 class InconsistentDataError(ValueError):
@@ -102,9 +102,20 @@ def require_shape(name: str, arr: np.ndarray, *dims: tuple) -> None:
     )
 
 
+def _as_real(name: str, value) -> np.ndarray:
+    """The caller's value as a new float array; entries that are not real numbers are refused."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged rows
+        arr = np.array(None)
+    if arr.dtype.kind not in "biuf":  # complex, strings, objects: never cast
+        raise NonFiniteError(f"{name} must hold real numbers, got {value!r:.60}")
+    return arr.astype(float, copy=False)
+
+
 def _as_matrix(name: str, value, *dims: tuple) -> np.ndarray:
     """The caller's value as a read-only float matrix, 2-d, finite and of shape dims."""
-    arr = np.array(value, dtype=float)
+    arr = _as_real(name, value)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():

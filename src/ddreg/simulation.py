@@ -21,6 +21,7 @@ from .model import (
     ProblemData,
     Regulator,
     _as_matrix,
+    _as_real,
     _as_square,
     _assign,
     member_at,
@@ -102,7 +103,7 @@ class DecayResult:
 
 def _column(name: str, v, rows: tuple) -> np.ndarray:
     """The entries of v as a finite vector with the length of the dim rows."""
-    return _as_matrix(name, np.reshape(v, (-1, 1)), rows, ("1", 1))[:, 0]
+    return _as_matrix(name, _as_real(name, v).reshape(-1, 1), rows, ("1", 1))[:, 0]
 
 
 def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:

@@ -5,24 +5,24 @@ Two routes can certify a problem informative.  The pointwise route
 endosystem-and-input part of the output, plus an exosystem gain solving
 E K1 = -D1.  The equation route (condition 2) needs any stabilizing
 right-inverse together with a solution W of the data-driven regulator
-equations.  They are solved on the compatible family, for [T; V] =
-[X2_minus; U_minus] W, so the solve does not inherit the conditioning
-of the samples; K1 = V - K2 T.  When the data identify the endosystem
-and p = m, they are the square Francis equations, decided by one LU
-solve; least squares decides every other shape and any LU solution
-that misses the residual rule.  The witness W is G^+ [T; V], applied
-through the SVD of G that built the family.  Either route yields one
-gain pair that works for every member of the compatible family, and
-verify_regulator checks any gain pair against the whole family in
-closed form.
+equations.  For [T; V] = [X2_minus; U_minus] W they are the Francis
+equations of the family's particular member, plus the kernel rows
+S1^T T + S2^T V + S3^T = 0 when r > 0, so the solve does not inherit
+the conditioning of the samples; K1 = V - K2 T.  analysis builds and
+solves them: LU when they are square, least squares otherwise.  The
+witness W is G^+ [T; V (; I)], through the family's SVD of G.  Either
+route yields one gain pair that works for every member of the
+compatible family, and verify_regulator checks any gain pair against
+the whole family in closed form.
 
 The coupling A3 is unknown exactly when problem.known.A3 is None; every
 function here reads the mode from the problem.  The compatible family
 then ranges over (A2, B2, A3) triples, the right-inverse must also
 satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
-does not depend on the coupling, and the regulator equations replace A3
-by X1_minus W = I.  synthesize requires A3; synthesize_unknown_a3 drops
-any provided A3 and runs the same path.
+does not depend on the coupling, and X1_minus W = I appends I to
+[T; V], so S3 enters the kernel rows; the equations keep A3_part.
+synthesize requires A3; synthesize_unknown_a3 drops any provided A3
+and runs the same path.
 
 The decision is a function of the problem alone: it draws no random
 numbers and takes no settings.  Both routes are exact, so trying
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _require_anti_stable, _spectrum, _sylvester, kron, unvec, vec
+from .analysis import _regulator_system, _require_anti_stable, _solve_regulator
+from .analysis import _spectrum, _sylvester, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -142,22 +143,14 @@ def _provenance(name: str, problem: Problem) -> str:
     return name + ("_unknown_a3" if problem.known.A3 is None else "")
 
 
-def _w_system(known: KnownMatrices, X2, U, X1, Z) -> tuple[np.ndarray, np.ndarray]:
-    I1 = np.eye(known.n1)
-    top = kron(known.A1.T, X2) - kron(I1, Z)
+def _data_equations(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    (_, Z), known, data = _stack(problem), problem.known, problem.data
+    output = known.D2 @ data.X2_minus + known.E @ data.U_minus
     if known.A3 is None:
-        blocks = [top, kron(I1, X1)]
-        first = [np.zeros(top.shape[0]), vec(I1)]
+        R, kernel = np.zeros((problem.n2, problem.n1)), (data.X1_minus, np.eye(problem.n1))
     else:
-        blocks, first = [top], [vec(known.A3)]
-    lhs = np.vstack(blocks + [kron(I1, known.D2 @ X2 + known.E @ U)])
-    rhs = np.concatenate(first + [-vec(known.D1)])
-    return lhs, rhs
-
-
-def _data_w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    (G, Z), n2, m = _stack(problem), problem.n2, problem.m
-    return _w_system(problem.known, G[:n2], G[n2 : n2 + m], G[n2 + m :], Z)
+        R, kernel = known.A3, ()
+    return _regulator_system(known.A1, data.X2_minus, Z, R, output, known.D1, *kernel)
 
 
 def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +161,12 @@ def w_system(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     tau x n1.  When A3 is None the first block reads
     X2_minus W A1 - X2_plus W = 0 and X1_minus W = I follows it.
     """
-    return _data_w_system(problem)
+    return _data_equations(problem)
 
 
 def w_system_unknown_a3(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """The system of problem.without_a3(): any provided A3 is ignored."""
-    return _data_w_system(problem.without_a3())
+    return _data_equations(problem.without_a3())
 
 
 def w_residual(problem: Problem, W) -> float:
@@ -183,42 +176,15 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _family_w_system(problem: Problem, family: CompatibleSet):
-    # G W ranges over im G, the range of P = I - S S^T; with G W = P Y
-    # the data equations become those of the family's particular member.
-    # The first rows of the family's blocks are those of G.  An
-    # identified family (r = 0) has P = I, and its products are skipped.
-    known, n2, m, rows = problem.known, problem.n2, problem.m, len(family.G)
-    M = np.hstack([family.A2_part, family.B2_part, family.A3_part])[:, :rows]
-    P = np.eye(rows)
-    if family.r:
-        S = np.vstack([family.S1, family.S2, family.S3])[:rows]
-        P -= S @ S.T
-        M = M @ P
-    lhs, rhs = _w_system(known, P[:n2], P[n2 : n2 + m], P[n2 + m :], M)
-    return lhs, rhs, P
-
-
-def _solve_w(problem: Problem, family: CompatibleSet):
-    # An identified family (r = 0) with p = m makes the equations the
-    # square Francis equations, which one LU solve decides when their
-    # operator is regular.  Every other shape, and an LU solution that is
-    # not finite or misses the residual rule, goes to least squares.
-    lhs, rhs, P = _family_w_system(problem, family)
-    shape = (len(family.G), problem.n1)
-    reference = float(np.linalg.norm(rhs))
-    if family.r == 0 and lhs.shape[0] == lhs.shape[1]:
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None and np.isfinite(sol).all():
-            residual = float(np.linalg.norm(lhs @ sol - rhs))
-            if within_tolerance(residual, reference):
-                return P @ unvec(sol, shape), residual, True
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = float(np.linalg.norm(lhs @ sol - rhs))
-    return P @ unvec(sol, shape), residual, within_tolerance(residual, reference)
+def _solve_member(problem: Problem, family: CompatibleSet):
+    # G W = [T; V (; I)] gives the equations of the particular member for
+    # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
+    known, n2, m = problem.known, problem.n2, problem.m
+    kernel = (np.hstack([family.S1.T, family.S2.T]), -family.S3.T) if family.r else ()
+    X, Z = np.eye(n2, n2 + m), np.hstack([family.A2_part, family.B2_part])
+    C = np.hstack([known.D2, known.E])
+    lhs, rhs = _regulator_system(known.A1, X, Z, family.A3_part, C, known.D1, *kernel)
+    return _solve_regulator(lhs, rhs, n2 + m)
 
 
 def check_endo_stabilization(problem: Problem) -> EndoStabilization:
@@ -287,20 +253,22 @@ def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> C
 def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> ConditionOutcome:
     """Equation route: stabilizing right-inverse plus regulator equations.
 
-    The regulator equations of the compatible family (built when family
-    is None) are solved for [T; V (; I)] = G W in the image of
-    G = [X2_minus; U_minus (; X1_minus)], by LU when they are square and
-    the family has r = 0, else by least squares, and must hold
-    within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
-    and the witness W = G^+ [T; V] comes from the family's SVD of G.
-    Building the family raises InconsistentDataError when no system
-    matches the data; a given family raises DimensionError naming its
-    block that misfits the problem's n2, m, n1, coupling mode or tau,
-    and InconsistentDataError naming its G or Z fitted to other data.
+    The equations are those of the particular member of the compatible
+    family (built when family is None) for Y = [T; V] = [X2_minus;
+    U_minus] W: T A1 - A2_part T - B2_part V = A3_part, in both coupling
+    modes, and D1 + D2 T + E V = 0, with the kernel rows S1^T T + S2^T V
+    + S3^T = 0 when r > 0.  LU solves them when square, least squares
+    otherwise, and they must hold within_tolerance of ||rhs||; K2 =
+    U_minus X^dagger, K1 = V - K2 T, and the witness W = G^+ [T; V (; I)]
+    comes from the family's SVD of G.  Building the family raises
+    InconsistentDataError when no system matches the data; a given
+    family raises DimensionError naming its block that misfits the
+    problem's n2, m, n1, coupling mode or tau, and InconsistentDataError
+    naming its G or Z fitted to other data.
     """
     family = _family_for(problem, family)
     lmi = solve_lmi(_lmi_for(problem, family, ()))
-    Y, residual, w_ok = _solve_w(problem, family)
+    Y, residual, w_ok = _solve_member(problem, family)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -309,13 +277,13 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    n2, m = problem.n2, problem.m
     K2 = problem.data.U_minus @ lmi.X_dagger
+    G_W = Y if problem.known.A3 is not None else np.vstack([Y, np.eye(problem.n1)])
     regulator = Regulator(
-        K1=-K2 @ Y[:n2] + Y[n2 : n2 + m],
+        K1=-K2 @ Y[: problem.n2] + Y[problem.n2 :],
         K2=K2,
         provenance=_provenance("condition2", problem),
-        W=family._pinv_apply(Y),
+        W=family._pinv_apply(G_W),
         Theta=lmi.Theta,
         X2_dagger=lmi.X_dagger,
     )

@@ -235,7 +235,6 @@ def test_bad_config_value_exits_one_naming_file_and_field(config, tmp_path, caps
     [
         ["synth", "planar", "-o", "regulator.json"],
         ["synth", "coupling_free", "--unknown-a3", "-o", "regulator.json"],
-        ["example", "planar", "--outdir", "."],
     ],
 )
 def test_each_command_builds_the_family_once(argv, tmp_path, monkeypatch, capsys):
@@ -253,6 +252,26 @@ def test_each_command_builds_the_family_once(argv, tmp_path, monkeypatch, capsys
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_example_simulates_on_the_family_of_the_file_it_wrote(tmp_path, monkeypatch, capsys):
+    # The simulate step of example reads the problem file that example
+    # wrote, as `ddreg simulate` does: one family for the decision and
+    # one for the simulation, built from the same bytes.
+    monkeypatch.chdir(tmp_path)
+    families = []
+    build = ddreg.model._compatible_set
+
+    def recording(problem):
+        families.append(build(problem))
+        return families[-1]
+
+    monkeypatch.setattr(ddreg.model, "_compatible_set", recording)
+    assert main(["example", "planar", "--outdir", "."]) == 0
+    capsys.readouterr()
+    decision, simulation = families
+    for name in ("A2_part", "B2_part", "A3_part", "S1", "S2", "S3", "G", "Z"):
+        assert np.array_equal(getattr(decision, name), getattr(simulation, name))
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])

@@ -1,9 +1,9 @@
 """Every public function checks the matrices it is given, in one way.
 
-A non-finite entry ends in NonFiniteError, and a wrong shape or a 1-d
-array in DimensionError; either names the argument, and nothing is
-printed (LAPACK's error handler prints "On entry to DLASCL ..." when it
-is handed a NaN).
+A non-finite or non-real entry ends in NonFiniteError, and a wrong shape
+or a 1-d array in DimensionError; either names the argument, and nothing
+is printed (LAPACK's error handler prints "On entry to DLASCL ..." when
+it is handed a NaN).
 """
 
 import re
@@ -141,10 +141,10 @@ _ARGUMENTS = [
 
 def _faults(axis) -> tuple[str, ...]:
     if axis is None:
-        return ("non-finite",)
+        return ("non-finite", "not real")
     if axis == "vector":
-        return ("non-finite", "wrong shape")
-    return ("non-finite", "wrong shape", "1-d")
+        return ("non-finite", "not real", "wrong shape")
+    return ("non-finite", "not real", "wrong shape", "1-d")
 
 
 _CASES = [
@@ -161,6 +161,10 @@ def _corrupt(value, fault: str, axis):
     if fault == "non-finite":
         value.flat[0] = np.nan
         return value
+    if fault == "not real":
+        value = value.astype(complex)
+        value.flat[0] += 1j
+        return value
     if fault == "1-d":
         return value.ravel()
     if axis == "vector":
@@ -173,10 +177,28 @@ def test_every_entry_point_names_the_matrix_it_refuses(entry, argument, axis, fa
     function, kwargs = _ENTRY_POINTS[entry](_base())
     function(**kwargs)  # the arguments as given are accepted
     kwargs[argument] = _corrupt(kwargs[argument], fault, axis)
-    with pytest.raises(NonFiniteError if fault == "non-finite" else DimensionError) as excinfo:
+    entries = fault in ("non-finite", "not real")
+    with pytest.raises(NonFiniteError if entries else DimensionError) as excinfo:
         function(**kwargs)
     assert re.search(rf"\b{argument}\b", str(excinfo.value)), str(excinfo.value)
+    if fault == "not real":
+        assert str(excinfo.value).startswith(argument), str(excinfo.value)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.array([[2j]]), [[1j]], [["1.5"]], [[1.0, 2.0], [3.0]], {"M": [[1.0]]}],
+    ids=["complex-array", "complex-list", "string", "ragged", "dict"],
+)
+@pytest.mark.parametrize("entry, argument", [("spectral_info", "M"), ("generate_data", "x1_0")])
+def test_a_value_that_is_not_real_numbers_is_named_not_cast(entry, argument, value):
+    # numpy used to read 2j as 0 (a stable matrix) and "1.5" as 1.5, and
+    # to end the others in a ValueError or TypeError naming no argument.
+    function, kwargs = _ENTRY_POINTS[entry](_base())
+    kwargs[argument] = value
+    with pytest.raises(NonFiniteError, match=f"^{argument} must hold real numbers, got "):
+        function(**kwargs)
 
 
 def test_a_size_read_off_another_matrix_names_that_matrix():

@@ -34,11 +34,11 @@ from ddreg import (
     w_residual,
     w_system,
 )
-from ddreg.analysis import unvec
+from ddreg.analysis import _regulator_system, _solve_regulator, unvec
 from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
 from ddreg.model import within_tolerance
-from ddreg.synthesis import _family_w_system, _solve_w
+from ddreg.synthesis import _solve_member
 
 from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
@@ -413,35 +413,96 @@ def test_traced_names_are_distinct_functions():
     assert len({id(f) for f in functions}) == len(TARGETS)
 
 
+def _francis_system(A1, A2, B2, A3, D1, D2, E):
+    """The regulator equations of (A2, B2, A3) for Y = [T; V], built as condition 2 builds them."""
+    n2, m = B2.shape
+    return _regulator_system(
+        A1, np.eye(n2, n2 + m), np.hstack([A2, B2]), A3, np.hstack([D2, E]), D1
+    )
+
+
 def _square_identified(problem):
-    """The family system of an identified family with p = m, or None for any other problem."""
-    family = compatible_set(problem)
-    rows = problem.n2 + problem.m
-    lhs, rhs, P = _family_w_system(problem, family)
+    """(lhs, rhs) of an identified family's square system (p = m), else None."""
+    family, known = compatible_set(problem), problem.known
+    lhs, rhs = _francis_system(
+        known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2, known.E
+    )
     if family.r or lhs.shape[0] != lhs.shape[1]:
         return None
-    return family, rows, lhs, rhs, P
+    return lhs, rhs
+
+
+def _assert_lu_agrees_with_least_squares(lhs, rhs, rows, Y, feasible):
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    Y_lstsq = unvec(sol, (rows, len(rhs) // rows))
+    lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
+    assert feasible == within_tolerance(lstsq_residual, float(np.linalg.norm(rhs)))
+    assert np.linalg.norm(Y - Y_lstsq) <= 1e-10 * np.linalg.norm(Y_lstsq)
+    if feasible:  # the LU solution is the one returned
+        assert np.array_equal(Y, unvec(np.linalg.solve(lhs, rhs), Y.shape))
 
 
 def test_the_lu_route_agrees_with_least_squares():
-    problems = [regulable_instance(seed).problem for seed in range(100)]
-    problems += [fixture_problem(name) for name in EXAMPLE_NAMES]
-    checked = 0
-    for problem in problems:
+    # Condition 2 on the identified family, and solve_classical_regulator
+    # on the true system, take the LU route of the one solver.
+    cases = [(i.problem, i.system) for i in map(regulable_instance, range(100))]
+    cases += [(fixture_problem(name), None) for name in EXAMPLE_NAMES]
+    checked = classical = 0
+    for problem, system in cases:
         square = _square_identified(problem)
         if square is None:
             continue
-        family, rows, lhs, rhs, P = square
-        Y, residual, feasible = _solve_w(problem, family)
-        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        Y_lstsq = P @ unvec(sol, (rows, problem.n1))
-        lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
-        assert feasible == within_tolerance(lstsq_residual, float(np.linalg.norm(rhs)))
-        assert np.linalg.norm(Y - Y_lstsq) <= 1e-10 * np.linalg.norm(Y_lstsq)
-        if feasible:  # the LU solution is the one returned
-            assert np.array_equal(Y, unvec(np.linalg.solve(lhs, rhs), (rows, problem.n1)))
+        lhs, rhs = square
+        rows = problem.n2 + problem.m
+        Y, _, feasible = _solve_regulator(lhs, rhs, rows)
+        _assert_lu_agrees_with_least_squares(lhs, rhs, rows, Y, feasible)
         checked += 1
-    assert checked >= 40
+        if system is None:
+            continue
+        known = problem.known
+        true = (known.A1, system.A2, system.B2, system.A3, known.D1, known.D2, known.E)
+        result = solve_classical_regulator(*true)
+        lhs, rhs = _francis_system(*true)
+        Y = np.vstack([result.T, result.V])
+        _assert_lu_agrees_with_least_squares(lhs, rhs, rows, Y, result.feasible)
+        assert result.feasible
+        classical += 1
+    assert checked >= 40 and classical >= 40
+
+
+def test_condition2_solves_the_francis_equations_of_the_particular_member():
+    # Known coupling, identified: the classical regulator of the particular
+    # member, bitwise.
+    identified = 0
+    for seed in range(100):
+        problem = regulable_instance(seed).problem
+        family, known = compatible_set(problem), problem.known
+        if family.r:
+            continue
+        Y, residual, holds = _solve_member(problem, family)
+        classical = solve_classical_regulator(
+            known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2, known.E
+        )
+        assert _bits((Y[: problem.n2], Y[problem.n2 :], residual, holds)) == _bits(
+            (classical.T, classical.V, classical.residual, classical.feasible)
+        )
+        identified += 1
+    assert identified >= 50
+    # r > 0: a Y that solves its equations meets its kernel rows
+    # S1^T T + S2^T V + S3^T = 0, so [T; V (; I)] lies in im G.  A least
+    # squares answer to infeasible equations (the planar fixture's) need not.
+    problems = [fixture_problem("planar"), fixture_problem("planar").without_a3()]
+    problems += [coupling_free_instance(seed).problem.without_a3() for seed in range(20)]
+    solved = 0
+    for problem in problems:
+        family = compatible_set(problem)
+        assert family.r > 0
+        Y, _, holds = _solve_member(problem, family)
+        kernel = family.S1.T @ Y[: problem.n2] + family.S2.T @ Y[problem.n2 :] + family.S3.T
+        if holds:
+            assert within_tolerance(float(np.linalg.norm(kernel)), float(np.linalg.norm(family.S3)))
+            solved += 1
+    assert solved >= 20
 
 
 def test_a_singular_square_system_reports_the_least_squares_residual():
@@ -457,7 +518,7 @@ def test_a_singular_square_system_reports_the_least_squares_residual():
         D2=np.zeros_like(known.D2), E=np.zeros_like(known.E),
     )
     problem = build_problem(problem.data, silent)
-    _, _, lhs, rhs, _ = _square_identified(problem)
+    lhs, rhs = _square_identified(problem)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(lhs, rhs)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -470,20 +531,16 @@ def test_a_singular_square_system_reports_the_least_squares_residual():
 
 
 def test_an_lu_solution_that_misses_the_residual_rule_falls_back(monkeypatch):
-    # The W system is the one solve with a vector right-hand side; an LU
-    # answer off by one in every entry misses the rule, and least squares
-    # decides instead.
+    # An LU answer off by one in every entry misses the rule, and least
+    # squares decides instead.
     problem = fixture_problem("scalar")
-    family, rows, lhs, rhs, _ = _square_identified(problem)
+    lhs, rhs = _square_identified(problem)
+    rows = problem.n2 + problem.m
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     lstsq_residual = float(np.linalg.norm(lhs @ sol - rhs))
     solve = np.linalg.solve
-
-    def off_by_one(a, b):
-        return solve(a, b) + (1.0 if np.ndim(b) == 1 else 0.0)
-
-    monkeypatch.setattr(np.linalg, "solve", off_by_one)
-    Y, residual, feasible = _solve_w(problem, family)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1.0)
+    Y, residual, feasible = _solve_regulator(lhs, rhs, rows)
     assert feasible
     assert residual == lstsq_residual
     assert np.array_equal(Y, unvec(sol, (rows, problem.n1)))
