@@ -9,6 +9,7 @@ form of the regulator equations and its solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,19 +224,31 @@ def _regulator_system(A1, X, Z, R, C, D1, K=None, Q=None) -> tuple[np.ndarray, n
 
 
 def _solve_regulator(lhs, rhs, rows: int) -> tuple[np.ndarray, float, bool]:
-    """(Y, residual, holds): LU when square, kept if finite and it holds; else least squares."""
-    reference, shape = float(np.linalg.norm(rhs)), (rows, lhs.shape[1] // rows)
-    if lhs.shape[0] == lhs.shape[1]:
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None and np.isfinite(sol).all():
-            residual = float(np.linalg.norm(lhs @ sol - rhs))
-            if within_tolerance(residual, reference):
-                return unvec(sol, shape), residual, True
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = float(np.linalg.norm(lhs @ sol - rhs))
+    """(Y, residual, holds): LU when square, kept if finite and it holds; else least squares.
+
+    Raises NonFiniteError when ||rhs|| or the least-squares residual
+    overflows: no residual rule can decide the equations then.
+    """
+    shape = (rows, lhs.shape[1] // rows)
+    # Overflow is reported below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = float(np.linalg.norm(rhs))
+        if lhs.shape[0] == lhs.shape[1] and math.isfinite(reference):
+            try:
+                sol = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError:
+                sol = None
+            if sol is not None and np.isfinite(sol).all():
+                residual = float(np.linalg.norm(lhs @ sol - rhs))
+                if within_tolerance(residual, reference):
+                    return unvec(sol, shape), residual, True
+        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        residual = float(np.linalg.norm(lhs @ sol - rhs))
+    if not (math.isfinite(reference) and math.isfinite(residual)):
+        raise NonFiniteError(
+            "the regulator equations cannot be checked: the norm of their "
+            "right-hand side or their residual overflows double precision"
+        )
     return unvec(sol, shape), residual, within_tolerance(residual, reference)
 
 
@@ -255,8 +268,9 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     The Francis equations for Y = [T; V], with condition 2's builder and
     solver: LU when p = m makes them square, least squares otherwise;
     the pair is reported infeasible when the residual fails
-    within_tolerance of ||rhs||.  Requires A1 anti-stable; every matrix
-    is checked for finiteness and shape first.
+    within_tolerance of ||rhs||, and NonFiniteError is raised when
+    either overflows.  Requires A1 anti-stable; every matrix is checked
+    for finiteness and shape first.
     """
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))

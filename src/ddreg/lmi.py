@@ -40,6 +40,7 @@ from .model import (
     _as_matrix,
     _assign,
     rank_from_singular_values,
+    within_tolerance,
 )
 
 __all__ = [
@@ -175,19 +176,17 @@ def _block_min_eig(X, Z, Theta) -> float:
 def _right_inverses(problem: LmiProblem) -> tuple[np.ndarray, np.ndarray] | None:
     """Xp and an orthonormal N with {Xp + N F} the admissible right-inverses.
 
-    Returns None when [X; C_k] X^dagger = [I; 0] has no solution.
+    Returns None when [X; C_k] X^dagger = [I; 0] has no solution: its
+    least-squares residual ||U[:n, r:]||_F fails within_tolerance of ||[I; 0]||_F.
     """
     n = problem.n
     S = np.vstack((problem.X,) + problem.equality_constraints)
-    rhs = np.zeros((S.shape[0], n))
-    rhs[:n] = np.eye(n)
     U, s, Vh = np.linalg.svd(S)
     r = rank_from_singular_values(s, S.shape)
-    # [I; 0] is in the range of S iff no left null vector of S reaches the
-    # rows of X; on the test corpora such a part is below 1e-15 or above 0.1.
-    if np.linalg.norm(U[:n, r:]) > 1e-8:
+    if not within_tolerance(float(np.linalg.norm(U[:n, r:])), math.sqrt(n)):
         return None
-    Xp = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r, None])
+    # U[:, :r]^T [I; 0] is U[:n, :r]^T.
+    Xp = Vh[:r].T @ (U[:n, :r].T / s[:r, None])
     return Xp, Vh[r:].T
 
 
@@ -262,9 +261,7 @@ def _riccati_gain(A0: np.ndarray, B0: np.ndarray) -> np.ndarray:
 
 
 def _not_found(min_eig: float, witness: Witness | None = None) -> LmiSolution:
-    return LmiSolution(
-        found=False, Theta=None, min_eig=min_eig, X_dagger=None, witness=witness
-    )
+    return LmiSolution(found=False, Theta=None, min_eig=min_eig, X_dagger=None, witness=witness)
 
 
 def _certificate(Z, Xp, N, rho: float) -> np.ndarray:
@@ -283,21 +280,23 @@ def _certificate(Z, Xp, N, rho: float) -> np.ndarray:
     P = _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
     Theta = X_dagger @ P
     size = np.linalg.norm(Theta)
-    if not math.isfinite(size):
+    scale = rho / size
+    if not (math.isfinite(size) and math.isfinite(scale)):
         raise np.linalg.LinAlgError("certificate is not finite")
-    Theta *= rho / size
+    Theta *= scale
     return Theta
 
 
-def solve_lmi(problem: LmiProblem, seed: int | None = None) -> LmiSolution:
+def solve_lmi(problem: LmiProblem) -> LmiSolution:
     """Decide the instance exactly and construct a certificate.
 
     A certificate whose block margin reaches LmiProblem.margin proves
     "yes".  The PBH test runs only when the construction fails, and a
     stuck mode it finds is the witness of "no".  The returned Theta is
     rescaled to Frobenius norm rho, which leaves X_dagger unchanged and
-    maximizes the eigenvalue margin within the bound.  seed is accepted
-    for compatibility and ignored.
+    maximizes the eigenvalue margin within the bound.  No right-inverse
+    of X satisfies the constraints when [X; C_k] X^dagger = [I; 0] fails
+    the package's within_tolerance residual rule.
     """
     X, Z = problem.X, problem.Z
     family = _right_inverses(problem)
@@ -305,16 +304,16 @@ def solve_lmi(problem: LmiProblem, seed: int | None = None) -> LmiSolution:
         return _not_found(-np.inf, Witness())
     Xp, N = family
     try:
-        Theta = _certificate(Z, Xp, N, problem.rho)
+        # A gain or Theta that overflows fails the construction, silently.
+        with np.errstate(all="ignore"):
+            Theta = _certificate(Z, Xp, N, problem.rho)
     except (np.linalg.LinAlgError, ValueError):
         min_eig = 0.0
     else:
         min_eig = _block_min_eig(X, Z, Theta)
         if min_eig >= problem.margin:
             X_dagger = np.linalg.solve((X @ Theta).T, Theta.T).T
-            return LmiSolution(
-                found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger
-            )
+            return LmiSolution(found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger)
     mode = _stuck_mode(Z, Xp, N)
     if mode is not None:
         return _not_found(0.0, Witness(mode))

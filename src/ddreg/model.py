@@ -239,10 +239,20 @@ class KnownMatrices:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Validated pairing of measurements with the known matrices."""
+    """Validated pairing of measurements with the known matrices.
+
+    Raises DimensionError naming the data matrix and the known matrix
+    its row count must match.
+    """
 
     data: ProblemData
     known: KnownMatrices
+
+    def __post_init__(self):
+        data, known = self.data, self.known
+        require_shape("X1_minus", data.X1_minus, ("n1", known.n1, "A1"), ("tau", None))
+        require_shape("X2", data.X2, ("n2", known.n2, "D2"), ("tau+1", None))
+        require_shape("U_minus", data.U_minus, ("m", known.m, "E"), ("tau", None))
 
     @property
     def tau(self) -> int:
@@ -276,14 +286,7 @@ class Problem:
 
 
 def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
-    """Cross-check data against known matrices and bind them.
-
-    Raises DimensionError naming the data matrix and the known matrix
-    its row count must match.
-    """
-    require_shape("X1_minus", data.X1_minus, ("n1", known.n1, "A1"), ("tau", None))
-    require_shape("X2", data.X2, ("n2", known.n2, "D2"), ("tau+1", None))
-    require_shape("U_minus", data.U_minus, ("m", known.m, "E"), ("tau", None))
+    """Problem(data, known), which cross-checks the data against the known matrices."""
     return Problem(data=data, known=known)
 
 

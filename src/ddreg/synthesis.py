@@ -264,7 +264,8 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     InconsistentDataError when no system matches the data; a given
     family raises DimensionError naming its block that misfits the
     problem's n2, m, n1, coupling mode or tau, and InconsistentDataError
-    naming its G or Z fitted to other data.
+    naming its G or Z fitted to other data.  Equations whose right-hand
+    side or residual overflows raise NonFiniteError.
     """
     family = _family_for(problem, family)
     lmi = solve_lmi(_lmi_for(problem, family, ()))

@@ -100,6 +100,19 @@ def _lqr_gain(A2, B2):
     return F
 
 
+def moved_along_null_space(problem, solution) -> np.ndarray:
+    """A second feasible Theta: the solver's plus t N 1, N spanning the null space of [X; C_k].
+
+    X Theta and every C_k Theta are unchanged, and the block changes only
+    off its diagonal, by t ||Z N 1||_2 = min_eig / 4 in norm, so by Weyl's
+    inequality the block keeps at least three quarters of its margin.
+    """
+    N = scipy.linalg.null_space(np.vstack((problem.X,) + problem.equality_constraints))
+    step = N @ np.ones((N.shape[1], problem.n))
+    t = 0.25 * solution.min_eig / np.linalg.norm(problem.Z @ step, 2)
+    return solution.Theta + t * step
+
+
 def coupling_free_instance(seed: int) -> Instance:
     """Unknown-coupling instance whose enlarged family has free directions.
 

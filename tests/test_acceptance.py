@@ -34,7 +34,7 @@ from ddreg import (
 from ddreg.examples import REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
 
-from _instances import coupling_free_instance, regulable_instance
+from _instances import coupling_free_instance, moved_along_null_space, regulable_instance
 
 N_RANDOM_INSTANCES = 100
 _instance_cache: dict[int, tuple] = {}
@@ -278,18 +278,26 @@ def test_criterion_5_lmi_solver_properties():
     infeasible = solve_lmi(LmiProblem(X=np.array([[1.0]]), Z=np.array([[2.0]])))
     infeasible_ok = (not infeasible.found) and infeasible.min_eig <= 0.0
 
-    # Convexity and positive scaling on solver outputs from two seeds.
-    a = solve_lmi(scalar_lmi, seed=0)
-    b = solve_lmi(scalar_lmi, seed=1)
-    invariance_ok = a.found and b.found
-    for solution in (a, b):
-        scaled = check_theta(scalar_lmi, 3.0 * solution.Theta)
+    # Convexity and positive scaling on two distinct feasible points: the
+    # solver's Theta and that Theta moved along the null space of X.
+    a = solve_lmi(scalar_lmi)
+    Theta_b = moved_along_null_space(scalar_lmi, a)
+    b = check_theta(scalar_lmi, Theta_b)
+    invariance_ok = (
+        a.found
+        and not np.allclose(Theta_b, a.Theta)
+        and b.min_eig >= 0.5 * a.min_eig >= scalar_lmi.margin
+        and b.symmetry_residual <= 1e-9 * np.linalg.norm(scalar_lmi.X @ Theta_b)
+        and b.X_dagger is not None
+    )
+    for Theta, solution in ((a.Theta, a), (Theta_b, b)):
+        scaled = check_theta(scalar_lmi, 3.0 * Theta)
         invariance_ok = invariance_ok and (
             abs(scaled.min_eig - 3.0 * solution.min_eig)
             < 1e-9 * abs(solution.min_eig)
             and np.allclose(scaled.X_dagger, solution.X_dagger, atol=1e-9)
         )
-    mid = check_theta(scalar_lmi, 0.5 * (a.Theta + b.Theta))
+    mid = check_theta(scalar_lmi, 0.5 * (a.Theta + Theta_b))
     invariance_ok = invariance_ok and mid.min_eig >= min(a.min_eig, b.min_eig) - 1e-9
 
     ok = feasible_ok and infeasible_ok and invariance_ok

@@ -7,6 +7,7 @@ import scipy.linalg
 from ddreg import (
     AntiStabilityError,
     DimensionError,
+    NonFiniteError,
     SingularOperatorError,
     assemble_gains,
     check_output_regulated,
@@ -199,6 +200,18 @@ def test_classical_regulator_reports_infeasible():
     result = solve_classical_regulator(A1, A2, B2, A3, D1, D2, E)
     assert not result.feasible
     assert result.residual > 0.5
+
+
+def test_classical_regulator_refuses_an_overflowing_right_hand_side():
+    # The output row reads 1 = 0 at either coupling.  With A3 = 1e300
+    # the norm of the right-hand side overflows, and a residual compared
+    # with an infinite reference would pass any rule.
+    matrices = dict(A1=[[1.0]], A2=[[0.5]], B2=[[1.0]], D1=[[1.0]], D2=[[0.0]], E=[[0.0]])
+    result = solve_classical_regulator(A3=[[1.0]], **matrices)
+    assert not result.feasible
+    assert result.residual == pytest.approx(1.0)
+    with pytest.raises(NonFiniteError, match="regulator equations"):
+        solve_classical_regulator(A3=[[1e300]], **matrices)
 
 
 def test_assemble_gains_matches_reference_pair():

@@ -26,8 +26,10 @@ from ddreg.lmi import (
     block_matrix,
 )
 from ddreg.examples import fixture_text
+from ddreg.model import RESIDUAL_RTOL
 from ddreg.fileio import parse_problem
 
+from _instances import moved_along_null_space
 from _pbh_reference import stuck_mode_reference
 
 
@@ -222,12 +224,50 @@ def test_scaling_doubles_margin_and_keeps_right_inverse():
 
 
 def test_convex_combination_stays_feasible():
+    # Two distinct feasible points: the solver's Theta and that Theta
+    # moved along the null space of X.
     problem = scalar_instance()
-    a = solve_lmi(problem, seed=0)
-    b = solve_lmi(problem, seed=1)
-    assert a.found and b.found
-    mid = check_theta(problem, 0.5 * (a.Theta + b.Theta))
+    a = solve_lmi(problem)
+    assert a.found
+    Theta_b = moved_along_null_space(problem, a)
+    b = check_theta(problem, Theta_b)
+    assert not np.allclose(Theta_b, a.Theta)
+    assert b.min_eig >= 0.5 * a.min_eig >= problem.margin
+    assert b.symmetry_residual <= 1e-9 * np.linalg.norm(problem.X @ Theta_b)
+    assert b.X_dagger is not None
+    mid = check_theta(problem, 0.5 * (a.Theta + Theta_b))
     assert mid.min_eig >= min(a.min_eig, b.min_eig) - 1e-9
+
+
+@pytest.mark.parametrize(
+    "X, Z",
+    [
+        (np.eye(1, 3), 1e200 * np.ones((1, 3))),
+        (1e-300 * np.eye(1, 3), 0.5e-300 * np.eye(1, 3)),
+        (1e200 * np.eye(1, 3), 0.5e200 * np.eye(1, 3)),
+    ],
+    ids=["gain-overflows", "certificate-overflows", "certificate-norm-underflows"],
+)
+def test_an_overflowing_certificate_is_decided_without_a_warning(X, Z):
+    # Finite data whose Riccati gain (B0 B0^T) or Theta (|X^dagger| ~ 1e300)
+    # overflows, or whose ||Theta|| underflows to 0 (|X^dagger| ~ 1e-200).
+    # Every pair is stabilizable, so the PBH test names no mode, and a
+    # failed construction is reported with min_eig 0, not warned or NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_lmi(LmiProblem(X=X, Z=Z))
+    assert solution.witness is None
+    assert solution.found or solution.min_eig == 0.0
+
+
+@pytest.mark.parametrize("fraction, exists", [(0.9, True), (1.1, False)])
+def test_the_constraints_admit_a_right_inverse_by_the_residual_rule(fraction, exists):
+    # [I; eps e1^T] X^dagger = [I; 0] has least-squares residual
+    # eps / sqrt(1 + eps^2), held to within_tolerance of ||[I; 0]||_F = 2.
+    eps = fraction * RESIDUAL_RTOL * (1.0 + 2.0)
+    constraint = eps * np.eye(1, 4)
+    problem = LmiProblem(X=np.eye(4), Z=0.5 * np.eye(4), equality_constraints=(constraint,))
+    assert (_right_inverses(problem) is not None) == exists
 
 
 def test_rank_deficient_x_cannot_be_feasible():

@@ -1,6 +1,7 @@
 """Data containers, validation, the compatible family and the numerical policy."""
 
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from ddreg import (
     InconsistentDataError,
     KnownMatrices,
     NonFiniteError,
+    Problem,
     ProblemData,
     build_problem,
     compatible_set,
@@ -87,6 +89,34 @@ def test_build_problem_names_offending_pair():
     )
     with pytest.raises(DimensionError, match="X1_minus"):
         build_problem(data, known)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"X2": 3}, "X2 must have shape (n2, tau+1) = (2, 5), got (3, 5); n2 is read from D2"),
+        (
+            {"X1_minus": 2},
+            "X1_minus must have shape (n1, tau) = (1, 4), got (2, 4); n1 is read from A1",
+        ),
+        ({"U_minus": 2}, "U_minus must have shape (m, tau) = (1, 4), got (2, 4); m is read from E"),
+    ],
+    ids=["X2", "X1_minus", "U_minus"],
+)
+def test_problem_itself_cross_checks_data_against_known_matrices(rows, message):
+    # n1 = m = 1 and n2 = 2 in the known matrices; one data matrix has
+    # other rows.  Problem is checked without build_problem.
+    sizes = {"U_minus": 1, "X1_minus": 1, "X2": 2} | rows
+    data = ProblemData(
+        U_minus=np.ones((sizes["U_minus"], 4)),
+        X1_minus=np.ones((sizes["X1_minus"], 4)),
+        X2=np.ones((sizes["X2"], 5)),
+    )
+    known = KnownMatrices(
+        A1=np.eye(1), A3=np.ones((2, 1)), D1=np.eye(1), D2=np.ones((1, 2)), E=np.eye(1)
+    )
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        Problem(data=data, known=known)
 
 
 def test_known_matrices_validates_rows():
@@ -293,7 +323,7 @@ def test_no_tolerance_is_a_parameter():
         analysis.check_output_regulated: ["A1", "A2", "A3", "D1", "D2"],
         analysis.solve_classical_regulator: ["A1", "A2", "B2", "A3", "D1", "D2", "E"],
         simulation.decay_check: ["trajectory", "rho_bound"],
-        lmi.solve_lmi: ["problem", "seed"],
+        lmi.solve_lmi: ["problem"],
         lmi.LmiProblem: ["X", "Z", "equality_constraints"],
     }
     for function, names in parameters.items():

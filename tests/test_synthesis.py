@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ddreg
 from ddreg import (
@@ -503,6 +504,41 @@ def test_condition2_solves_the_francis_equations_of_the_particular_member():
             assert within_tolerance(float(np.linalg.norm(kernel)), float(np.linalg.norm(family.S3)))
             solved += 1
     assert solved >= 20
+
+
+def _family_lqr_gain(problem, family):
+    """K2 as the LQR gain of the family under the metric of the minimum-norm right-inverse.
+
+    With Omega = (G G^T)^+ and its input blocks Omega_uu, Omega_ux, the
+    unit-weight Riccati design on the data is the LQR design of the
+    particular member shifted by K_p = -Omega_uu^-1 Omega_ux, with weights
+    (I, Omega_uu): K2 = K_p + F.
+    """
+    U, s, _, k = family._svd
+    Omega = (U[:, :k] / s[:k] ** 2) @ U[:, :k].T
+    n2 = problem.n2
+    Omega_uu, Omega_ux = Omega[n2:, n2:], Omega[n2:, :n2]
+    K_p = -np.linalg.solve(Omega_uu, Omega_ux)
+    A, B = family.A2_part + family.B2_part @ K_p, family.B2_part
+    S = scipy.linalg.solve_discrete_are(A, B, np.eye(n2), Omega_uu)
+    return K_p - np.linalg.solve(B.T @ S @ B + Omega_uu, B.T @ S @ A)
+
+
+def test_condition2_gain_is_the_family_lqr_under_the_minimum_norm_metric():
+    # Known coupling, identified (r = 0): today's K2 in family coordinates.
+    problems = [fixture_problem("scalar")]
+    problems += [regulable_instance(seed).problem for seed in range(100)]
+    compared = 0
+    for problem in problems:
+        family = compatible_set(problem)
+        outcome = check_condition2(problem, family)
+        if family.r or not outcome.holds:
+            continue
+        K2 = outcome.regulator.K2
+        gap = np.linalg.norm(_family_lqr_gain(problem, family) - K2)
+        assert gap <= 1e-6 * np.linalg.norm(K2)
+        compared += 1
+    assert compared >= 90
 
 
 def test_a_singular_square_system_reports_the_least_squares_residual():
