@@ -26,8 +26,8 @@ from ddreg.lmi import (
     block_matrix,
 )
 from ddreg.examples import fixture_text
-from ddreg.model import RESIDUAL_RTOL
 from ddreg.fileio import parse_problem
+from ddreg.model import RESIDUAL_RTOL
 
 from _instances import moved_along_null_space
 from _pbh_reference import stuck_mode_reference
