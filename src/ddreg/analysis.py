@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    UNIT_CIRCLE_MARGIN,
     DimensionError,
     NonFiniteError,
+    SpectralInfo,
     _as_matrix,
     _as_real,
     _as_square,
+    _spectrum,
     within_tolerance,
 )
 
@@ -74,16 +75,6 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralInfo:
-    """Eigenvalues and their position relative to the unit circle."""
-
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    is_stable: bool
-    is_anti_stable: bool
-
-
 def spectral_info(M) -> SpectralInfo:
     """Classify the spectrum of a square matrix.
 
@@ -99,32 +90,18 @@ def spectral_info(M) -> SpectralInfo:
     return _spectrum(M)
 
 
-def _spectrum(M: np.ndarray) -> SpectralInfo:
-    if M.shape[0] == 0:
-        return SpectralInfo(np.array([], dtype=complex), 0.0, True, True)
-    eigenvalues = np.linalg.eigvals(M).astype(complex)
-    moduli = np.abs(eigenvalues)
-    radius = float(moduli.max())
-    return SpectralInfo(
-        eigenvalues=eigenvalues,
-        spectral_radius=radius,
-        is_stable=bool(radius < 1.0 - UNIT_CIRCLE_MARGIN),
-        is_anti_stable=bool(moduli.min() >= 1.0 - UNIT_CIRCLE_MARGIN),
-    )
-
-
 def require_anti_stable(A1) -> None:
     """Raise AntiStabilityError unless the exosystem matrix A1 is anti-stable.
 
-    A1 is converted and checked once; _require_anti_stable is the test
-    on a matrix that is already checked.
+    A1 is converted and checked once; _require_anti_stable raises on a
+    classification already made, such as KnownMatrices carries.
     """
     A1, _ = _as_square("A1", A1, "n1")
-    _require_anti_stable(A1)
+    _require_anti_stable(_spectrum(A1).is_anti_stable)
 
 
-def _require_anti_stable(A1: np.ndarray) -> None:
-    if not _spectrum(A1).is_anti_stable:
+def _require_anti_stable(is_anti_stable: bool) -> None:
+    if not is_anti_stable:
         raise AntiStabilityError(
             "A1 must be anti-stable: stable exosystem modes decay on their own "
             "and make the data uninformative about regulation"
@@ -205,7 +182,7 @@ def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     ||D1||.  Every matrix is checked for finiteness and shape first.
     """
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
-    _require_anti_stable(A1)
+    _require_anti_stable(_spectrum(A1).is_anti_stable)
     if not _spectrum(A2).is_stable:
         return RegulationCheck(regulated=False, T=None, output_residual=None)
     T = _sylvester(A1, A2, A3)
@@ -275,7 +252,7 @@ def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))
     E = _as_matrix("E", E, ("p", D1.shape[0], "D1"), ("m", B2.shape[1], "B2"))
-    _require_anti_stable(A1)
+    _require_anti_stable(_spectrum(A1).is_anti_stable)
     n2, m = B2.shape
     X, Z, C = np.eye(n2, n2 + m), np.hstack([A2, B2]), np.hstack([D2, E])
     Y, residual, feasible = _solve_regulator(*_regulator_system(A1, X, Z, A3, C, D1), n2 + m)

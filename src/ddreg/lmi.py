@@ -13,9 +13,14 @@ Every admissible right-inverse is Xp + N F, with Xp solving
 [X; C_k] Xp = [I; 0] and N spanning the null space of [X; C_k], so
 Z X^dagger = Z Xp + Z N F and a stabilizing one exists iff (Z Xp, Z N)
 is stabilizable.  The decision constructs first: a discrete Riccati
-design gives F, and the Lyapunov solution P of the closed loop gives the
-certificate Theta = X^dagger P, whose block margin proves "yes".  Only
-when that construction fails does a Popov-Belevitch-Hautus rank test
+design gives F and its solution S, and X^dagger = Xp + N F.  The LQR
+identity S - A_cl^T S A_cl = I + F^T F for A_cl = Z X^dagger makes
+P = S^-1 a Lyapunov certificate of the closed loop (Kalman, Bol. Soc.
+Mat. Mexicana, 1960), so Theta = X^dagger S^-1 is tried first.  Only
+when its block margin misses LmiProblem.margin, or it fails to build,
+does the Lyapunov solution P of the closed loop scaled by its spectral
+radius give Theta = X^dagger P instead.  Either block margin proves
+"yes".  Only when both fail does a Popov-Belevitch-Hautus rank test
 run, to name the unstable mode that no F moves.
 
 Both equations are solved by one structure-preserving doubling
@@ -93,6 +98,13 @@ class LmiProblem:
         )
         _assign(self, X=X, Z=_as_matrix("Z", self.Z, n, tau), equality_constraints=constraints)
 
+    @classmethod
+    def _of(cls, X: np.ndarray, Z: np.ndarray, equality_constraints: tuple) -> LmiProblem:
+        """An instance of matrices the caller has checked, taken without conversion or copy."""
+        problem = object.__new__(cls)
+        _assign(problem, X=X, Z=Z, equality_constraints=equality_constraints)
+        return problem
+
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -128,11 +140,15 @@ class Witness:
 class LmiSolution:
     """Decision with its certificate.  min_eig is the block eigenvalue.
 
+    X_dagger is the Riccati right-inverse Xp + N F and Theta its
+    certificate, X_dagger S^-1 or, when that misses the margin,
+    X_dagger P for the Stein solution P, rescaled to Frobenius norm rho.
     When found is False, Theta and X_dagger are None.  A witness proves
     that no admissible right-inverse is stabilizing; min_eig is then 0
     (the supremum over admissible Theta), or -inf without any
     right-inverse.  Without a witness a stabilizing right-inverse exists
-    but its certificate reached only min_eig, below the margin.
+    but its certificate reached only min_eig, below the margin: the
+    Stein certificate's, or 0 when that failed to build.
     iterations is always 0: nothing is searched.
     """
 
@@ -229,6 +245,7 @@ def _doubling(A: np.ndarray, G: np.ndarray | None, rtol: float) -> np.ndarray:
     n = A.shape[0]
     I = np.eye(n)
     H = I
+    rtol2 = rtol * rtol
     # An unstable A overflows; that is reported below, not as a warning.
     with np.errstate(all="ignore"):
         for _ in range(_DOUBLING_STEPS):
@@ -241,50 +258,66 @@ def _doubling(A: np.ndarray, G: np.ndarray | None, rtol: float) -> np.ndarray:
             step = A.T @ H @ WA
             A = A @ WA
             H = H + step
-            # numpy's own Frobenius norm of these C-contiguous arrays.
-            size = math.sqrt(np.vdot(H, H))
-            if not math.isfinite(size):
+            # Squared Frobenius norms, numpy's own of these C-contiguous arrays.
+            size2 = np.vdot(H, H)
+            if not math.isfinite(size2):
                 break
-            if math.sqrt(np.vdot(step, step)) <= rtol * size:
+            if np.vdot(step, step) <= rtol2 * size2:
                 # Symmetric up to roundoff; X Theta = P must be symmetric.
                 return 0.5 * (H + H.T)
     raise np.linalg.LinAlgError("doubling iteration did not converge")
 
 
-def _riccati_gain(A0: np.ndarray, B0: np.ndarray) -> np.ndarray:
-    """F making A0 + B0 F stable: the LQR gain with unit weights."""
-    n, m = B0.shape
-    if m == 0:
-        return np.zeros((0, n))
+def _riccati_gain(A0: np.ndarray, B0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F making A0 + B0 F stable, the LQR gain with unit weights, and the Riccati solution S.
+
+    S - A_cl^T S A_cl = I + F^T F for A_cl = A0 + B0 F, so S^-1 solves
+    the dual Lyapunov inequality P - A_cl P A_cl^T > 0.
+    """
     S = _doubling(A0, B0 @ B0.T, _DARE_RTOL)
-    return -np.linalg.solve(B0.T @ S @ B0 + np.eye(m), B0.T @ S @ A0)
+    F = -np.linalg.solve(B0.T @ S @ B0 + np.eye(B0.shape[1]), B0.T @ S @ A0)
+    return F, S
 
 
 def _not_found(min_eig: float, witness: Witness | None = None) -> LmiSolution:
     return LmiSolution(found=False, Theta=None, min_eig=min_eig, X_dagger=None, witness=witness)
 
 
-def _certificate(Z, Xp, N, rho: float) -> np.ndarray:
-    """Theta = X^dagger P for the Riccati right-inverse X^dagger, at norm rho.
+def _inverse_certificate(X_dagger: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Theta = X^dagger S^-1 for the Riccati solution S (see _riccati_gain)."""
+    return np.linalg.solve(S, X_dagger.T).T
 
-    Raises LinAlgError or ValueError when a solve fails or Theta is not
-    finite.
+
+def _stein_certificate(Z: np.ndarray, X_dagger: np.ndarray) -> np.ndarray:
+    """Theta = X^dagger P for the Stein solution P of the closed loop Z X^dagger.
+
+    P solves the Lyapunov equation of A_cl / gamma with gamma halfway
+    between the spectral radius and 1.  Then
+    P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
+    block well conditioned even when A_cl is far from normal.
     """
-    X_dagger = Xp + N @ _riccati_gain(Z @ Xp, Z @ N)
     A_cl = Z @ X_dagger
-    # P solves the Lyapunov equation of A_cl / gamma with gamma halfway
-    # between the spectral radius and 1.  Then
-    # P - A_cl P A_cl^T = (1 - gamma^2) P + gamma^2 I, which keeps the
-    # block well conditioned even when A_cl is far from normal.
     gamma = 0.5 * (1.0 + np.abs(np.linalg.eigvals(A_cl)).max())
-    P = _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
-    Theta = X_dagger @ P
-    size = np.linalg.norm(Theta)
-    scale = rho / size
-    if not (math.isfinite(size) and math.isfinite(scale)):
-        raise np.linalg.LinAlgError("certificate is not finite")
-    Theta *= scale
-    return Theta
+    return X_dagger @ _doubling((A_cl / gamma).T, None, _STEIN_RTOL)
+
+
+def _certified(problem: LmiProblem, certificate, *args) -> tuple[np.ndarray | None, float]:
+    """Theta = certificate(*args) at Frobenius norm rho, and its block min_eig.
+
+    Dividing by max|Theta| first keeps the norm from overflowing or
+    underflowing.  A Theta that fails to build, or is not finite or
+    zero, gives (None, 0.0).
+    """
+    try:
+        Theta = certificate(*args)
+        largest = np.abs(Theta).max()
+        if not (math.isfinite(largest) and largest > 0.0):
+            return None, 0.0
+        Theta = Theta / largest
+        Theta *= problem.rho / np.linalg.norm(Theta)
+        return Theta, _block_min_eig(problem.X, problem.Z, Theta)
+    except (np.linalg.LinAlgError, ValueError):
+        return None, 0.0
 
 
 def solve_lmi(problem: LmiProblem) -> LmiSolution:
@@ -298,22 +331,25 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     of X satisfies the constraints when [X; C_k] X^dagger = [I; 0] fails
     the package's within_tolerance residual rule.
     """
-    X, Z = problem.X, problem.Z
+    Z = problem.Z
     family = _right_inverses(problem)
     if family is None:
         return _not_found(-np.inf, Witness())
     Xp, N = family
-    try:
-        # A gain or Theta that overflows fails the construction, silently.
-        with np.errstate(all="ignore"):
-            Theta = _certificate(Z, Xp, N, problem.rho)
-    except (np.linalg.LinAlgError, ValueError):
-        min_eig = 0.0
-    else:
-        min_eig = _block_min_eig(X, Z, Theta)
-        if min_eig >= problem.margin:
-            X_dagger = np.linalg.solve((X @ Theta).T, Theta.T).T
-            return LmiSolution(found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger)
+    min_eig = 0.0
+    # A gain or Theta that overflows fails its construction, silently.
+    with np.errstate(all="ignore"):
+        try:
+            F, S = _riccati_gain(Z @ Xp, Z @ N)
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+        else:
+            X_dagger = Xp + N @ F
+            Theta, min_eig = _certified(problem, _inverse_certificate, X_dagger, S)
+            if min_eig < problem.margin:
+                Theta, min_eig = _certified(problem, _stein_certificate, Z, X_dagger)
+            if min_eig >= problem.margin:
+                return LmiSolution(found=True, Theta=Theta, min_eig=min_eig, X_dagger=X_dagger)
     mode = _stuck_mode(Z, Xp, N)
     if mode is not None:
         return _not_found(0.0, Witness(mode))

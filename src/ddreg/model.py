@@ -148,6 +148,31 @@ def rank_from_singular_values(s: np.ndarray, shape: tuple[int, int]) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class SpectralInfo:
+    """Eigenvalues and their position relative to the unit circle."""
+
+    eigenvalues: np.ndarray
+    spectral_radius: float
+    is_stable: bool
+    is_anti_stable: bool
+
+
+def _spectrum(M: np.ndarray) -> SpectralInfo:
+    """Classify the spectrum of a checked square matrix (see analysis.spectral_info)."""
+    if M.shape[0] == 0:
+        return SpectralInfo(np.array([], dtype=complex), 0.0, True, True)
+    eigenvalues = np.linalg.eigvals(M).astype(complex)
+    moduli = np.abs(eigenvalues)
+    radius = float(moduli.max())
+    return SpectralInfo(
+        eigenvalues=eigenvalues,
+        spectral_radius=radius,
+        is_stable=bool(radius < 1.0 - UNIT_CIRCLE_MARGIN),
+        is_anti_stable=bool(moduli.min() >= 1.0 - UNIT_CIRCLE_MARGIN),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """Finite-window measurements of the interconnected system.
 
@@ -201,8 +226,10 @@ class KnownMatrices:
 
     A1 drives the exosystem, A3 couples it into the endosystem (None when
     the coupling is treated as unknown), and D1, D2, E form the regulated
-    output z = D1 x1 + D2 x2 + E u.  Anti-stability of A1 is checked at
-    the use sites (analysis.require_anti_stable), not here.
+    output z = D1 x1 + D2 x2 + E u.  A1's spectrum is classified once,
+    here; the decision and verification read the private flag
+    _a1_anti_stable and raise AntiStabilityError at their use, so a
+    matrix that is not anti-stable still builds.
     """
 
     A1: np.ndarray
@@ -216,7 +243,8 @@ class KnownMatrices:
         D1 = _as_matrix("D1", self.D1, ("p", None), n1)
         p = ("p", D1.shape[0], "D1")
         D2 = _as_matrix("D2", self.D2, p, ("n2", None))
-        _assign(self, A1=A1, D1=D1, D2=D2, E=_as_matrix("E", self.E, p, ("m", None)))
+        E = _as_matrix("E", self.E, p, ("m", None))
+        _assign(self, A1=A1, D1=D1, D2=D2, E=E, _a1_anti_stable=_spectrum(A1).is_anti_stable)
         if self.A3 is not None:
             _assign(self, A3=_as_matrix("A3", self.A3, ("n2", D2.shape[1], "D2"), n1))
 
@@ -303,6 +331,8 @@ class CompatibleSet:
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
     built the family is kept for the conditions, and G and Z are read-only.
+    compatible_set records the problem it built the family from, so the
+    conditions accept that family without comparing its regression.
     """
 
     A2_part: np.ndarray
@@ -314,6 +344,9 @@ class CompatibleSet:
     residual: float
     G: np.ndarray
     Z: np.ndarray
+
+    # Not a field: a family built or copied by hand was built from no problem.
+    _problem = None
 
     @property
     def r(self) -> int:
@@ -381,7 +414,7 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
         S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, residual=residual, G=G, Z=Z,
     )
     G.flags.writeable = Z.flags.writeable = False  # so _svd cannot go stale
-    _assign(family, _svd=svd)
+    _assign(family, _svd=svd, _problem=problem)
     return family
 
 
@@ -436,6 +469,22 @@ class Regulator:
         _assign(self, K1=K1, K2=_as_matrix("K2", self.K2, ("m", K1.shape[0], "K1"), ("n2", None)))
         witnesses = {name: getattr(self, name) for name in ("W", "Theta", "X2_dagger")}
         _assign(self, **{k: _as_matrix(k, v) for k, v in witnesses.items() if v is not None})
+
+    @classmethod
+    def _of(cls, provenance: str, **matrices: np.ndarray) -> Regulator:
+        """A regulator of the decision's own float matrices, taken without conversion or copy.
+
+        Their shapes fit by construction.  Each is checked finite, so gains
+        that overflow still raise NonFiniteError, and is made read-only.
+        """
+        regulator = object.__new__(cls)
+        _assign(regulator, provenance=provenance, W=None, Theta=None, X2_dagger=None)
+        for name, arr in matrices.items():
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{name} contains non-finite entries")
+            arr.flags.writeable = False
+        _assign(regulator, **matrices)
+        return regulator
 
 
 @dataclass

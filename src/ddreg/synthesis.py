@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _regulator_system, _require_anti_stable, _solve_regulator
-from .analysis import _spectrum, _sylvester, vec
+from .analysis import _regulator_system, _require_anti_stable, _solve_regulator, _sylvester, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -50,6 +49,7 @@ from .model import (
     Regulator,
     SynthesisReport,
     _as_matrix,
+    _spectrum,
     _stack,
     compatible_set,
     rank_from_singular_values,
@@ -108,9 +108,15 @@ class SynthesisResult:
 
 
 def _family_for(problem: Problem, family: CompatibleSet | None) -> CompatibleSet:
-    """The family of problem, built when None; a given one must fit its sizes and data."""
+    """The family of problem, built when None; a given one must fit its sizes and data.
+
+    A family that compatible_set built from this very problem fits by
+    construction and is taken without a comparison.
+    """
     if family is None:
         return compatible_set(problem)
+    if family._problem is problem:
+        return family
     n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
     _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
     unknown, tau = problem.known.A3 is None, ("tau", problem.tau, "U_minus")
@@ -136,7 +142,7 @@ def _rank_x2_minus(problem: Problem, family: CompatibleSet) -> int:
 def _lmi_for(problem: Problem, family: CompatibleSet, constraints: tuple) -> LmiProblem:
     if problem.known.A3 is None:
         constraints = constraints + (problem.data.X1_minus,)
-    return LmiProblem(X=problem.data.X2_minus, Z=family.Z, equality_constraints=constraints)
+    return LmiProblem._of(problem.data.X2_minus, family.Z, constraints)
 
 
 def _provenance(name: str, problem: Problem) -> str:
@@ -231,17 +237,20 @@ def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> C
     if not within_tolerance(inclusion, float(np.linalg.norm(known.D1))):
         reason = f"im D1 is not contained in im E (residual {inclusion:.3e})"
         return _fails(None, diagnostics, reason)
-    output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
+    # An output map that overflows is reported below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
+    if not np.isfinite(output_map).all():
+        raise NonFiniteError("the output map D2 X2_minus + E U_minus contains non-finite entries")
     lmi = solve_lmi(_lmi_for(problem, family, (output_map,)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
         return _fails(lmi, diagnostics, _lmi_failure(lmi, sought))
-    K2 = data.U_minus @ lmi.X_dagger
-    regulator = Regulator(
+    regulator = Regulator._of(
+        _provenance("condition1", problem),
         K1=K1,
-        K2=K2,
-        provenance=_provenance("condition1", problem),
+        K2=data.U_minus @ lmi.X_dagger,
         Theta=lmi.Theta,
         X2_dagger=lmi.X_dagger,
     )
@@ -280,10 +289,10 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         return _fails(lmi, diagnostics, *reasons)
     K2 = problem.data.U_minus @ lmi.X_dagger
     G_W = Y if problem.known.A3 is not None else np.vstack([Y, np.eye(problem.n1)])
-    regulator = Regulator(
+    regulator = Regulator._of(
+        _provenance("condition2", problem),
         K1=-K2 @ Y[: problem.n2] + Y[problem.n2 :],
         K2=K2,
-        provenance=_provenance("condition2", problem),
         W=family._pinv_apply(G_W),
         Theta=lmi.Theta,
         X2_dagger=lmi.X_dagger,
@@ -319,7 +328,7 @@ def _informative(problem, report, name, outcome, family) -> SynthesisResult:
 
 def _synthesize(problem: Problem) -> SynthesisResult:
     family = compatible_set(problem)
-    _require_anti_stable(problem.known.A1)
+    _require_anti_stable(problem.known._a1_anti_stable)
     rank = _rank_x2_minus(problem, family)
     report = SynthesisReport(rank_X2_minus=rank)
     if rank < problem.n2:
@@ -406,7 +415,7 @@ def _verify_regulator(regulator, cset, known) -> VerificationReport:
     require_gain_shapes(regulator, known)
     n1, n2 = ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2")
     _require_family("cset", cset, n1, n2, ("m", known.m, "known.E"))
-    _require_anti_stable(known.A1)
+    _require_anti_stable(known._a1_anti_stable)
     K1, K2 = regulator.K1, regulator.K2
     # Gains that overflow end in NonFiniteError when the closed loop, or
     # for a stable closed loop a Sylvester right-hand side, is not

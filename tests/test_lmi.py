@@ -19,9 +19,12 @@ from ddreg.lmi import (
     _DARE_RTOL,
     _STEIN_RTOL,
     _block_min_eig,
-    _certificate,
+    _certified,
     _doubling,
+    _inverse_certificate,
+    _riccati_gain,
     _right_inverses,
+    _stein_certificate,
     _stuck_mode,
     block_matrix,
 )
@@ -165,8 +168,8 @@ def test_pbh_returns_the_first_stuck_one_of_two_unstable_modes(moved, expected):
 def test_a_missed_margin_still_runs_the_pbh_test():
     # The data of `gen-data --tau 5 --seed 1` on A2 = [[2, 0], [0.5, 0.3]],
     # B2 = [[0], [1]]: the mode 2 is out of reach of the input, yet the
-    # Riccati gain converges and the certificate misses the margin by a
-    # hair instead of failing to build.
+    # Riccati gain converges and both certificates, S^-1 and the Stein
+    # one, miss the margin by a hair instead of failing to build.
     system = TrueSystem(
         A1=np.array([[1.0]]),
         A2=np.array([[2.0, 0.0], [0.5, 0.3]]),
@@ -177,8 +180,12 @@ def test_a_missed_margin_still_runs_the_pbh_test():
     data = generate_data(system, np.ones(1), np.ones(2), inputs)
     problem = LmiProblem(X=data.X2_minus, Z=data.X2_plus - system.A3 @ data.X1_minus)
     Xp, N = _right_inverses(problem)
-    Theta = _certificate(problem.Z, Xp, N, problem.rho)
-    assert _block_min_eig(problem.X, problem.Z, Theta) < problem.margin
+    F, S = _riccati_gain(problem.Z @ Xp, problem.Z @ N)
+    X_dagger = Xp + N @ F
+    certificates = ((_inverse_certificate, X_dagger, S), (_stein_certificate, problem.Z, X_dagger))
+    for certificate, *args in certificates:
+        Theta, _ = _certified(problem, certificate, *args)
+        assert _block_min_eig(problem.X, problem.Z, Theta) < problem.margin
     solution = solve_lmi(problem)
     assert not solution.found
     assert solution.witness.eigenvalue == pytest.approx(2.0)
@@ -240,24 +247,40 @@ def test_convex_combination_stays_feasible():
 
 
 @pytest.mark.parametrize(
-    "X, Z",
+    "X, Z, found, min_eig",
     [
-        (np.eye(1, 3), 1e200 * np.ones((1, 3))),
-        (1e-300 * np.eye(1, 3), 0.5e-300 * np.eye(1, 3)),
-        (1e200 * np.eye(1, 3), 0.5e200 * np.eye(1, 3)),
+        (np.eye(1, 3), 1e200 * np.ones((1, 3)), False, 0.0),
+        (1e-300 * np.eye(1, 3), 0.5e-300 * np.eye(1, 3), False, 5e-298),
+        (1e200 * np.eye(1, 3), 0.5e200 * np.eye(1, 3), True, 5e202),
     ],
     ids=["gain-overflows", "certificate-overflows", "certificate-norm-underflows"],
 )
-def test_an_overflowing_certificate_is_decided_without_a_warning(X, Z):
-    # Finite data whose Riccati gain (B0 B0^T) or Theta (|X^dagger| ~ 1e300)
-    # overflows, or whose ||Theta|| underflows to 0 (|X^dagger| ~ 1e-200).
-    # Every pair is stabilizable, so the PBH test names no mode, and a
-    # failed construction is reported with min_eig 0, not warned or NaN.
+def test_an_overflowing_certificate_is_decided_without_a_warning(X, Z, found, min_eig):
+    # Finite data whose Riccati gain (B0 B0^T) overflows, or whose Theta
+    # has entries of about 1e300 or 1e-200 (|X^dagger| ~ 1e300, 1e-200)
+    # before it is rescaled.  Every pair is stabilizable, so the PBH test
+    # names no mode.  A failed construction is reported with min_eig 0,
+    # and a built one with its block margin (closed loop 0.5, rho = 1e3),
+    # which at |X| = 1e-300 stays below the absolute margin; none warns or
+    # gives NaN.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solution = solve_lmi(LmiProblem(X=X, Z=Z))
     assert solution.witness is None
-    assert solution.found or solution.min_eig == 0.0
+    assert solution.found == found
+    assert solution.min_eig == pytest.approx(min_eig, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e170, 1e200, 1e300])
+def test_the_certificate_is_rescaled_without_overflow_at_any_scale_of_the_data(scale):
+    # X = s e1^T and Z = s/2 e1^T have closed loop 0.5 at every s, and
+    # X^dagger = e1 / s.  The squares of Theta's entries, about 1/s^2,
+    # underflow from s = 1e170 on unless Theta is first divided by its
+    # largest entry.
+    solution = solve_lmi(LmiProblem(X=scale * np.eye(1, 3), Z=0.5 * scale * np.eye(1, 3)))
+    assert solution.found
+    assert solution.min_eig == pytest.approx(0.5 * scale * LmiProblem.rho, rel=1e-9)
+    assert np.linalg.norm(solution.Theta) == pytest.approx(LmiProblem.rho, rel=1e-12)
 
 
 @pytest.mark.parametrize("fraction, exists", [(0.9, True), (1.1, False)])

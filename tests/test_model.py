@@ -45,6 +45,16 @@ def truncated_problem(seed):
     return build_problem(data, instance.problem.known)
 
 
+def test_known_matrices_classify_a_huge_exosystem_without_a_warning():
+    # A1's spectrum is classified when the known matrices are built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        known = KnownMatrices(
+            A1=1e300 * np.eye(2), A3=None, D1=np.ones((1, 2)), D2=np.ones((1, 1)), E=np.ones((1, 1))
+        )
+    assert known._a1_anti_stable
+
+
 def test_problem_data_validates_column_counts():
     with pytest.raises(DimensionError):
         ProblemData(

@@ -17,6 +17,7 @@ from ddreg import (
     InconsistentDataError,
     KnownMatrices,
     LmiProblem,
+    NonFiniteError,
     ProblemData,
     Regulator,
     build_problem,
@@ -24,9 +25,11 @@ from ddreg import (
     check_condition2,
     check_endo_stabilization,
     check_output_regulated,
+    check_theta,
     compatible_set,
     compatible_set_unknown_a3,
     solve_classical_regulator,
+    solve_lmi,
     spectral_info,
     synthesize,
     synthesize_unknown_a3,
@@ -38,8 +41,9 @@ from ddreg import (
 from ddreg.analysis import _regulator_system, _solve_regulator, unvec
 from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
+from ddreg.lmi import _certified, _inverse_certificate, _riccati_gain, _right_inverses
 from ddreg.model import within_tolerance
-from ddreg.synthesis import _solve_member
+from ddreg.synthesis import _lmi_for, _solve_member
 
 from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
@@ -386,6 +390,84 @@ def test_informative_decisions_never_run_the_pbh_test(monkeypatch):
         assert synthesize_unknown_a3(coupling_free_instance(seed).problem).regulator is not None
 
 
+def _counting_stein_solves(monkeypatch) -> list:
+    """Patch lmi._doubling to record the shape of A in each Stein doubling (G = None)."""
+    stein_solves, doubling = [], ddreg.lmi._doubling
+
+    def counting(A, G, rtol):
+        if G is None:
+            stein_solves.append(A.shape)
+        return doubling(A, G, rtol)
+
+    monkeypatch.setattr(ddreg.lmi, "_doubling", counting)
+    return stein_solves
+
+
+def test_the_riccati_solution_certifies_the_corpus_without_a_stein_solve(monkeypatch):
+    # S - A_cl^T S A_cl = I + F^T F, so Theta = X^dagger S^-1 certifies
+    # the Riccati closed loop with no second doubling.
+    stein_solves, decided = _counting_stein_solves(monkeypatch), []
+
+    def recording(problem):
+        decided.append((problem, solve_lmi(problem)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(ddreg.synthesis, "solve_lmi", recording)
+    for seed in range(20):
+        assert synthesize(regulable_instance(seed).problem).regulator is not None
+    assert stein_solves == []
+    found = [(problem, solution) for problem, solution in decided if solution.found]
+    assert len(found) >= 20
+    for problem, solution in found:
+        assert check_theta(problem, solution.Theta).min_eig >= LmiProblem.margin
+
+
+def test_the_stein_certificate_certifies_where_s_inverse_misses_the_margin(monkeypatch):
+    # On ladder-n16-2 the block of X^dagger S^-1 reaches min_eig 1.2e-7,
+    # below the margin; the gamma-scaled Stein certificate reaches 3.0e-4.
+    (problem,) = [problem for name, problem in _ladder_problems(16) if name == "ladder-n16-2"]
+    lmi = _lmi_for(problem, compatible_set(problem), ())
+    Xp, N = _right_inverses(lmi)
+    F, S = _riccati_gain(lmi.Z @ Xp, lmi.Z @ N)
+    Theta, min_eig = _certified(lmi, _inverse_certificate, Xp + N @ F, S)
+    assert Theta is not None and min_eig < LmiProblem.margin
+    stein_solves = _counting_stein_solves(monkeypatch)
+    solution = solve_lmi(lmi)
+    assert solution.found
+    assert stein_solves == [(problem.n2, problem.n2)]
+    assert check_theta(lmi, solution.Theta).min_eig >= LmiProblem.margin
+
+
+def test_every_returned_regulator_passes_verification():
+    # Each coupling-free instance also runs with its true coupling known.
+    cases = [(regulable_instance(seed).problem, synthesize) for seed in range(100)]
+    for seed in range(20):
+        instance = coupling_free_instance(seed)
+        known = replace(instance.problem.known, A3=instance.system.A3)
+        cases.append((instance.problem, synthesize_unknown_a3))
+        cases.append((build_problem(instance.problem.data, known), synthesize))
+    for name in EXAMPLE_NAMES:
+        cases += [(fixture_problem(name), synthesize), (fixture_problem(name), synthesize_unknown_a3)]
+    returned = 0
+    for problem, synth in cases:
+        result = synth(problem)
+        if result.regulator is not None:
+            returned += 1
+            report = verify_regulator(result.regulator, result.family, problem.known)
+            assert report.passed, (synth.__name__, report.residuals)
+    assert returned >= 100
+
+
+def test_an_overflowing_output_map_ends_in_a_named_non_finite_error():
+    # Condition 1 constrains the right-inverse by D2 X2_minus + E U_minus,
+    # which overflows on the planar data with D2 near the largest double.
+    problem = fixture_problem("planar")
+    known = replace(problem.known, D2=np.full_like(problem.known.D2, 1.7e308))
+    message = "the output map D2 X2_minus + E U_minus contains non-finite entries"
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+        check_condition1(build_problem(problem.data, known))
+
+
 def test_synthesize_requires_the_coupling_matrix():
     problem = withheld_coupling(fixture_problem("scalar"))
     with pytest.raises(ValueError, match="--unknown-a3"):
@@ -721,27 +803,29 @@ def test_no_call_writes_to_the_problem(call):
 @pytest.mark.parametrize("name", ["scalar", "corpus-0"])
 def test_an_identified_decision_checks_each_matrix_once_and_factors_it_once(name, monkeypatch):
     # Both problems identify the endosystem (r = 0).  synthesize factors
-    # G for the family and the right-inverse constraints for the LMI, and
-    # converts LmiProblem's X and Z and the Regulator's five matrices;
-    # verification adds the Sylvester operator's SVD and no conversion.
+    # G for the family and the right-inverse constraints for the LMI.  It
+    # converts no matrix: LmiProblem and the Regulator take the arrays the
+    # decision made or checked, and A1's spectrum was classified when the
+    # problem was built, so the S^-1 certificate needs no eigenvalues.
+    # Verification adds the Sylvester operator's SVD and the closed loop's
+    # eigenvalues, and no conversion.
     problem = fixture_problem("scalar") if name == "scalar" else regulable_instance(0).problem
-    counts = {"svd": 0, "_as_matrix": 0}
-    svd, as_matrix = np.linalg.svd, ddreg.model._as_matrix
+    counts = {"svd": 0, "eigvals": 0, "_as_matrix": 0}
+    svd, eigvals, as_matrix = np.linalg.svd, np.linalg.eigvals, ddreg.model._as_matrix
 
-    def counting_svd(*args, **kwargs):
-        counts["svd"] += 1
-        return svd(*args, **kwargs)
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    def counting_as_matrix(*args, **kwargs):
-        counts["_as_matrix"] += 1
-        return as_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", eigvals))
     for module in (ddreg.model, ddreg.analysis, ddreg.lmi, ddreg.synthesis, ddreg.simulation):
         if hasattr(module, "_as_matrix"):
-            monkeypatch.setattr(module, "_as_matrix", counting_as_matrix)
+            monkeypatch.setattr(module, "_as_matrix", counting("_as_matrix", as_matrix))
     result = synthesize(problem)
     assert result.family.r == 0
-    assert counts == {"svd": 2, "_as_matrix": 7}
+    assert counts == {"svd": 2, "eigvals": 0, "_as_matrix": 0}
     verify_regulator(result.regulator, result.family, problem.known)
-    assert counts == {"svd": 3, "_as_matrix": 7}
+    assert counts == {"svd": 3, "eigvals": 1, "_as_matrix": 0}
