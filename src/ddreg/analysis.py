@@ -3,8 +3,8 @@
 Spectral classification, the Sylvester equation, the regulator
 equations and the gain-assembly identity.  These operate on explicit
 system matrices; the data-driven layer reduces to them once a member of
-the compatible family is fixed, and synthesis shares the one Kronecker
-form of the regulator equations and its solver.
+the compatible family is fixed: condition 2 runs solve_classical_regulator's
+core (_francis), and verification check_output_regulated's (_regulated).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class AntiStabilityError(ValueError):
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
-    """The vectorized equation operator is singular within tolerance."""
+    """The Sylvester operator is numerically singular: near spectra or bad scaling."""
 
 
 # Singularity cutoff of the Sylvester operator, relative to max(1, sigma_max).
@@ -108,24 +108,16 @@ def _require_anti_stable(is_anti_stable: bool) -> None:
         )
 
 
-def sylvester_operator(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Matrix of T -> T A1 - A2 T acting on vec(T)."""
-    n1 = A1.shape[0]
-    n2 = A2.shape[0]
-    return kron(A1.T, np.eye(n2)) - kron(np.eye(n1), A2)
-
-
 def solve_sylvester(A1, A2, A3) -> np.ndarray:
     """Solve T A1 - A2 T = A3 for T.
 
     The equation is vectorized to (A1^T kron I - I kron A2) vec(T) =
     vec(A3) and solved densely.  A3 may also be a stack of shape
     (k, n2, n1): the k right-hand sides share one solve and T has the
-    same shape.  Raises NonFiniteError when A3 has a non-finite entry
-    and SingularOperatorError when the spectra of A1 and A2 intersect
-    within tolerance, which makes the operator singular.  The shape and
-    finiteness checks run here; _sylvester solves for arguments that
-    are already checked.
+    same shape; with n2 = 0 the empty solution is returned.  Raises
+    NonFiniteError when A3 has a non-finite entry and SingularOperatorError
+    when the operator is numerically singular.  The checks run here;
+    _regulated, with no output rows, solves for checked arguments.
     """
     A1, _ = _as_square("A1", A1, "n1")
     A2, _ = _as_square("A2", A2, "n2")
@@ -137,22 +129,27 @@ def solve_sylvester(A1, A2, A3) -> np.ndarray:
         )
     if not np.isfinite(A3).all():
         raise NonFiniteError("A3 contains non-finite entries")
-    return _sylvester(A1, A2, A3)
-
-
-def _sylvester(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray) -> np.ndarray:
-    n1, n2 = A1.shape[0], A2.shape[0]
-    L = sylvester_operator(A1, A2)
-    s = np.linalg.svd(L, compute_uv=False)
-    if s.size == 0 or s[-1] <= _SINGULAR_RTOL * max(1.0, s[0]):
-        raise SingularOperatorError(
-            "spectra of A1 and A2 intersect within tolerance; "
-            "the Sylvester operator is singular"
-        )
-    # Column k of rhs is vec(A3[k]); row k of the solution is vec(T[k]).
-    rhs = A3.reshape(-1, n2, n1).swapaxes(1, 2).reshape(-1, n1 * n2)
-    T = np.linalg.solve(L, rhs.T).T.reshape(-1, n1, n2).swapaxes(1, 2)
+    T, _ = _regulated(A1, A2, A3 if A3.ndim == 3 else A3[None], np.empty((0, n2)), 0.0)
     return T.reshape(A3.shape)
+
+
+def _regulated(A1, A_cl, rhs, C_cl, offset) -> tuple[np.ndarray, np.ndarray]:
+    """(T, norms): T[k] A1 - A_cl T[k] = rhs[k], norms[k] = ||C_cl T[k] (+ offset at k = 0)||."""
+    n1, n2 = A1.shape[0], A_cl.shape[0]
+    L = _operator(A1, np.eye(n2), A_cl)
+    s = np.linalg.svd(L, compute_uv=False)
+    if s.size and s[-1] <= _SINGULAR_RTOL * max(1.0, s[0]):
+        raise SingularOperatorError(
+            "the Sylvester operator of A1 and A2 is numerically singular (sigma_min/max(1, "
+            f"sigma_max) = {s[-1] / max(1.0, s[0]):.1e} <= {_SINGULAR_RTOL:.0e}); the spectra "
+            "nearly intersect or the data are badly scaled"
+        )
+    # Column k of b is vec(rhs[k]); row k of the solution is vec(T[k]).
+    b = rhs.swapaxes(1, 2).reshape(len(rhs), n1 * n2)
+    T = np.linalg.solve(L, b.T).T.reshape(len(rhs), n1, n2).swapaxes(1, 2)
+    outputs = C_cl @ T
+    outputs[:1] += offset
+    return T, np.linalg.norm(outputs, axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,25 +173,28 @@ def _loop_matrices(A1, A2, A3, D1, D2) -> tuple:
 def check_output_regulated(A1, A2, A3, D1, D2) -> RegulationCheck:
     """Decide output regulation for explicit matrices.
 
-    Requires A1 anti-stable (see require_anti_stable).  The
-    interconnection is regulated iff A2 is stable and the unique solution
-    T of T A1 - A2 T = A3 satisfies D1 + D2 T = 0 within_tolerance of
-    ||D1||.  Every matrix is checked for finiteness and shape first.
+    Requires A1 anti-stable (see require_anti_stable).  Regulated iff A2
+    is stable and the unique T of T A1 - A2 T = A3 meets D1 + D2 T = 0
+    within_tolerance of ||D1||, by verify_regulator's solve, which raises
+    SingularOperatorError.  Every matrix is checked for finiteness and shape first.
     """
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     _require_anti_stable(_spectrum(A1).is_anti_stable)
     if not _spectrum(A2).is_stable:
         return RegulationCheck(regulated=False, T=None, output_residual=None)
-    T = _sylvester(A1, A2, A3)
-    residual = float(np.linalg.norm(D1 + D2 @ T))
-    regulated = within_tolerance(residual, float(np.linalg.norm(D1)))
-    return RegulationCheck(regulated=regulated, T=T, output_residual=residual)
+    (T,), (residual,) = _regulated(A1, A2, A3[None], D2, D1)
+    regulated = within_tolerance(float(residual), float(np.linalg.norm(D1)))
+    return RegulationCheck(regulated=regulated, T=T, output_residual=float(residual))
+
+
+def _operator(A1, X, Z) -> np.ndarray:
+    return kron(A1.T, X) - kron(np.eye(A1.shape[0]), Z)
 
 
 def _regulator_system(A1, X, Z, R, C, D1, K=None, Q=None) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of X Y A1 - Z Y = R, (K Y = Q,) D1 + C Y = 0 on vec(Y), rows in that order."""
     I1 = np.eye(A1.shape[0])
-    blocks, rhs = [kron(A1.T, X) - kron(I1, Z)], [vec(R)]
+    blocks, rhs = [_operator(A1, X, Z)], [vec(R)]
     if K is not None:
         blocks, rhs = blocks + [kron(I1, K)], rhs + [vec(Q)]
     return np.vstack(blocks + [kron(I1, C)]), np.concatenate(rhs + [-vec(D1)])
@@ -229,6 +229,13 @@ def _solve_regulator(lhs, rhs, rows: int) -> tuple[np.ndarray, float, bool]:
     return unvec(sol, shape), residual, within_tolerance(residual, reference)
 
 
+def _francis(A1, A2, B2, A3, D1, D2, E, kernel=()) -> tuple[np.ndarray, float, bool]:
+    """(Y = [T; V], residual, holds) of T A1 - A2 T - B2 V = A3, (K Y = Q,) D1 + D2 T + E V = 0."""
+    n2, m = B2.shape
+    X, Z, C = np.eye(n2, n2 + m), np.hstack([A2, B2]), np.hstack([D2, E])
+    return _solve_regulator(*_regulator_system(A1, X, Z, A3, C, D1, *kernel), n2 + m)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalRegulator:
     """Solution of the model-based regulator equations and whether it holds."""
@@ -242,21 +249,19 @@ class ClassicalRegulator:
 def solve_classical_regulator(A1, A2, B2, A3, D1, D2, E) -> ClassicalRegulator:
     """Solve T A1 - A2 T - B2 V = A3,  D1 + D2 T + E V = 0 for (T, V).
 
-    The Francis equations for Y = [T; V], with condition 2's builder and
-    solver: LU when p = m makes them square, least squares otherwise;
-    the pair is reported infeasible when the residual fails
-    within_tolerance of ||rhs||, and NonFiniteError is raised when
-    either overflows.  Requires A1 anti-stable; every matrix is checked
-    for finiteness and shape first.
+    The Francis equations for Y = [T; V], by condition 2's solve: LU
+    when p = m makes them square, least squares otherwise; the pair is
+    reported infeasible when the residual fails within_tolerance of
+    ||rhs||, and NonFiniteError is raised when either overflows.
+    Requires A1 anti-stable; every matrix is checked for finiteness and
+    shape first.
     """
     A1, A2, A3, D1, D2 = _loop_matrices(A1, A2, A3, D1, D2)
     B2 = _as_matrix("B2", B2, ("n2", A2.shape[0], "A2"), ("m", None))
     E = _as_matrix("E", E, ("p", D1.shape[0], "D1"), ("m", B2.shape[1], "B2"))
     _require_anti_stable(_spectrum(A1).is_anti_stable)
-    n2, m = B2.shape
-    X, Z, C = np.eye(n2, n2 + m), np.hstack([A2, B2]), np.hstack([D2, E])
-    Y, residual, feasible = _solve_regulator(*_regulator_system(A1, X, Z, A3, C, D1), n2 + m)
-    return ClassicalRegulator(feasible=feasible, T=Y[:n2], V=Y[n2:], residual=residual)
+    Y, residual, feasible = _francis(A1, A2, B2, A3, D1, D2, E)
+    return ClassicalRegulator(feasible=feasible, T=Y[: len(A2)], V=Y[len(A2) :], residual=residual)
 
 
 def assemble_gains(T, V, K2) -> np.ndarray:

@@ -172,7 +172,8 @@ def cmd_synth(args) -> int:
     if result.regulator is None:
         return 2
     regulator = result.regulator
-    verification = verify_regulator(regulator, result.family, doc.problem.known)
+    with naming(doc.origin):
+        verification = verify_regulator(regulator, result.family, doc.problem.known)
     print(f"K1 = {_fmt(regulator.K1)}")
     print(f"K2 = {_fmt(regulator.K2)}")
     print(f"closed-loop spectral radius: {verification.rho_bound:.6f}")

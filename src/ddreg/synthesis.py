@@ -8,12 +8,12 @@ right-inverse together with a solution W of the data-driven regulator
 equations.  For [T; V] = [X2_minus; U_minus] W they are the Francis
 equations of the family's particular member, plus the kernel rows
 S1^T T + S2^T V + S3^T = 0 when r > 0, so the solve does not inherit
-the conditioning of the samples; K1 = V - K2 T.  analysis builds and
-solves them: LU when they are square, least squares otherwise.  The
+the conditioning of the samples; K1 = V - K2 T.  solve_classical_regulator's
+core solves them: LU when they are square, least squares otherwise.  The
 witness W is G^+ [T; V (; I)], through the family's SVD of G.  Either
 route yields one gain pair that works for every member of the
 compatible family, and verify_regulator checks any gain pair against
-the whole family in closed form.
+the whole family in closed form, by check_output_regulated's solve.
 
 The coupling A3 is unknown exactly when problem.known.A3 is None; every
 function here reads the mode from the problem.  The compatible family
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _regulator_system, _require_anti_stable, _solve_regulator, _sylvester, vec
+from .analysis import _francis, _regulated, _regulator_system, _require_anti_stable, vec
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
@@ -182,17 +182,6 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def _solve_member(problem: Problem, family: CompatibleSet):
-    # G W = [T; V (; I)] gives the equations of the particular member for
-    # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
-    known, n2, m = problem.known, problem.n2, problem.m
-    kernel = (np.hstack([family.S1.T, family.S2.T]), -family.S3.T) if family.r else ()
-    X, Z = np.eye(n2, n2 + m), np.hstack([family.A2_part, family.B2_part])
-    C = np.hstack([known.D2, known.E])
-    lhs, rhs = _regulator_system(known.A1, X, Z, family.A3_part, C, known.D1, *kernel)
-    return _solve_regulator(lhs, rhs, n2 + m)
-
-
 def check_endo_stabilization(problem: Problem) -> EndoStabilization:
     """Decide whether the data pin down one stabilizing state feedback.
 
@@ -276,9 +265,13 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     naming its G or Z fitted to other data.  Equations whose right-hand
     side or residual overflows raise NonFiniteError.
     """
-    family = _family_for(problem, family)
+    family, known = _family_for(problem, family), problem.known
     lmi = solve_lmi(_lmi_for(problem, family, ()))
-    Y, residual, w_ok = _solve_member(problem, family)
+    # G W = [T; V (; I)] gives the equations of the particular member for
+    # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
+    kernel = (np.hstack([family.S1.T, family.S2.T]), -family.S3.T) if family.r else ()
+    member = (family.A2_part, family.B2_part, family.A3_part)
+    Y, residual, w_ok = _francis(known.A1, *member, known.D1, known.D2, known.E, kernel)
     diagnostics = {"lmi_min_eig": lmi.min_eig, "w_residual": residual}
     reasons = []
     if not lmi.found:
@@ -288,7 +281,7 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
     K2 = problem.data.U_minus @ lmi.X_dagger
-    G_W = Y if problem.known.A3 is not None else np.vstack([Y, np.eye(problem.n1)])
+    G_W = Y if known.A3 is not None else np.vstack([Y, np.eye(problem.n1)])
     regulator = Regulator._of(
         _provenance("condition2", problem),
         K1=-K2 @ Y[: problem.n2] + Y[problem.n2 :],
@@ -447,9 +440,8 @@ def _verify_regulator(regulator, cset, known) -> VerificationReport:
                     "right-hand side cset.A3_part + cset.B2_part K1 contains"
                 )
                 raise NonFiniteError(f"the Sylvester {named} non-finite entries")
-            outputs = (known.D2 + known.E @ K2) @ _sylvester(known.A1, A_cl, rhs)
-            outputs[0] += known.D1 + known.E @ K1
-            norms = np.linalg.norm(outputs, axis=(1, 2))
+            C_cl, offset = known.D2 + known.E @ K2, known.D1 + known.E @ K1
+            _, norms = _regulated(known.A1, A_cl, rhs, C_cl, offset)
             residuals["output_offset"] = float(norms[0])
             residuals["output_direction"] = float(norms[1:].max(initial=0.0))
             reference = float(np.linalg.norm(known.D1))
@@ -473,9 +465,9 @@ def verify_regulator(
     stable; and the output D1 + E K1 + (D2 + E K2) T(N) vanishes for
     every N, where T(N) solves T A1 - A_cl T = A3(N) + B2(N) K1, checked
     at N = 0 and along each of the n2 * r unit directions of N, all
-    with one Sylvester operator.  The closed-loop spread is held to
-    within_tolerance of ||K2|| and each output residual to
-    within_tolerance of ||D1||, as in check_output_regulated.  cset
+    with one Sylvester operator, by check_output_regulated's solve.  The
+    closed-loop spread is held to within_tolerance of ||K2|| and each
+    output residual to within_tolerance of ||D1||, as there.  cset
     supplies the family; known supplies A1 and the output matrices.
     Raises DimensionError, via require_gain_shapes, when a gain does not
     fit known, naming cset.A2_part, cset.B2_part or cset.A3_part when
@@ -483,7 +475,8 @@ def verify_regulator(
     when a kernel block does not fit the r of cset.S1.  Raises
     NonFiniteError when the closed loop is not finite, or when it is
     stable and a Sylvester right-hand side is not, for instance because
-    large gains overflow; an unstable closed loop fails without solving.
+    large gains overflow, and SingularOperatorError when that operator is
+    numerically singular; an unstable closed loop fails without solving.
     samples is accepted for older callers and ignored.
     """
     return _verify_regulator(regulator, cset, known)

@@ -9,7 +9,9 @@ of the resulting true system.
 
 from __future__ import annotations
 
+import runpy
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -175,6 +177,53 @@ def coupling_free_instance(seed: int) -> Instance:
             V=U @ W,
         )
     raise RuntimeError(f"no coupling-free instance found for seed {seed}")
+
+
+def scaled_experiment(seed, n2, m, n1, extra, k) -> Problem:
+    """One open-loop run of a random system, every row rescaled by 10^e, |e| <= k.
+
+    Rescaling the rows of x2, u and x1 is a change of coordinates, so the
+    data stay consistent; tau = n2 + m + n1 + extra leaves room for r = 0
+    in both coupling modes.
+    """
+    rng = np.random.default_rng(seed)
+    tau = n2 + m + n1 + extra
+    A2 = rng.standard_normal((n2, n2)) / np.sqrt(n2)
+    B2, A3 = rng.standard_normal((n2, m)), rng.standard_normal((n2, n1))
+    U, X1 = rng.standard_normal((m, tau)), rng.standard_normal((n1, tau))
+    X2 = np.empty((n2, tau + 1))
+    X2[:, 0] = rng.standard_normal(n2)
+    for t in range(tau):
+        X2[:, t + 1] = A2 @ X2[:, t] + B2 @ U[:, t] + A3 @ X1[:, t]
+    s2, su, s1 = (10.0 ** rng.integers(-k, k + 1, size=n) for n in (n2, m, n1))
+    known = KnownMatrices(
+        A1=np.eye(n1), A3=s2[:, None] * A3 / s1, D1=np.ones((1, n1)),
+        D2=np.ones((1, n2)), E=np.ones((1, m)),
+    )
+    data = ProblemData(U_minus=su[:, None] * U, X1_minus=s1[:, None] * X1, X2=s2[:, None] * X2)
+    return build_problem(data, known)
+
+
+# (seed, n2, m, n1, extra, k) of scaled_experiment whose synthesized
+# closed loop A_cl keeps sigma(A1) and sigma(A_cl) 0.047-1.0 apart, while
+# the Sylvester operator of A1 and A_cl has sigma_min/sigma_max of
+# 4.5e-12-3.3e-10: verification's singularity guard refuses it.
+BADLY_SCALED = [
+    (982492895, 3, 1, 1, 3, 3),
+    (3716098959, 5, 1, 2, 2, 3),
+    (1978838861, 3, 1, 3, 1, 3),
+    (2327356202, 4, 1, 3, 0, 3),
+]
+
+
+def ladder_problems(n2: int | None = None) -> list[tuple[str, Problem]]:
+    """(name, problem) of the benchmark's ladder, of every size or of size n2."""
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"))
+    return [
+        (inst.name, gen["to_problem"](inst))
+        for inst in gen["ladder_set"]()
+        if n2 is None or inst.X2.shape[0] == n2
+    ]
 
 
 def inconsistent_problem() -> Problem:

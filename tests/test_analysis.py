@@ -15,7 +15,7 @@ from ddreg import (
     solve_sylvester,
     spectral_info,
 )
-from ddreg.analysis import kron, sylvester_operator, unvec, vec
+from ddreg.analysis import _regulator_system, kron, unvec, vec
 from ddreg.examples import REFERENCE
 
 from _instances import exosystem, regulable_instance
@@ -88,14 +88,19 @@ def test_kron_equals_numpy_kron():
 
 
 def test_sylvester_operator_matches_action():
+    # The builder's first block is Y -> X Y A1 - Z Y on vec(Y): with X = I
+    # the Sylvester operator, with X = [I 0] that of the Francis equations.
     rng = np.random.default_rng(3)
     for _ in range(10):
-        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        n1, n2, m = (int(rng.integers(1, 5)) for _ in range(3))
         A1 = rng.standard_normal((n1, n1))
-        A2 = rng.standard_normal((n2, n2))
-        T = rng.standard_normal((n2, n1))
-        action = unvec(sylvester_operator(A1, A2) @ vec(T), (n2, n1))
-        assert np.allclose(action, T @ A1 - A2 @ T, atol=1e-12)
+        for X in (np.eye(n2), np.eye(n2, n2 + m)):
+            Z = rng.standard_normal((n2, X.shape[1]))
+            Y = rng.standard_normal((X.shape[1], n1))
+            C = rng.standard_normal((2, X.shape[1]))
+            lhs, _ = _regulator_system(A1, X, Z, np.zeros((n2, n1)), C, np.zeros((2, n1)))
+            action = unvec(lhs[: n1 * n2] @ vec(Y), (n2, n1))
+            assert np.allclose(action, X @ Y @ A1 - Z @ Y, atol=1e-12)
 
 
 def test_solve_sylvester_residual():
@@ -127,6 +132,18 @@ def test_solve_sylvester_solves_a_stack_slice_by_slice():
 def test_solve_sylvester_rejects_shared_spectra():
     with pytest.raises(SingularOperatorError):
         solve_sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))
+
+
+def test_an_empty_endosystem_has_the_unique_empty_solution():
+    assert solve_sylvester(np.eye(1), np.zeros((0, 0)), np.zeros((0, 1))).shape == (0, 1)
+    assert solve_sylvester(np.eye(2), np.zeros((0, 0)), np.zeros((3, 0, 2))).shape == (3, 0, 2)
+    for D1, regulated in [(np.zeros((1, 1)), True), (np.ones((1, 1)), False)]:
+        check = check_output_regulated(
+            np.eye(1), np.zeros((0, 0)), np.zeros((0, 1)), D1, np.zeros((1, 0))
+        )
+        assert check.regulated == regulated
+        assert check.T.shape == (0, 1)
+        assert check.output_residual == np.linalg.norm(D1)
 
 
 def test_solve_sylvester_checks_shapes():

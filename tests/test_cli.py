@@ -24,11 +24,13 @@ from ddreg.fileio import (
 )
 
 from _instances import (
+    BADLY_SCALED,
     PLANAR_GAIN_SHAPES,
     WRONG_GAIN_SHAPES,
     coupling_free_instance,
     inconsistent_problem,
     regulable_instance,
+    scaled_experiment,
     wrong_shape_regulator,
 )
 
@@ -206,6 +208,19 @@ def test_synth_writes_nothing_when_verification_fails(planar_path, tmp_path, mon
     out = capsys.readouterr().out
     assert "closed-loop spectral radius: 0.500000" in out
     assert "verification over the whole family (r=1): FAIL; output_offset=1.000e+00" in out
+
+
+def test_a_verification_error_names_the_problem_file(tmp_path, capsys):
+    # The badly scaled experiment is decided informative, and then
+    # verification's Sylvester guard refuses its closed loop.
+    path = tmp_path / "scaled.json"
+    save_problem(path, scaled_experiment(*BADLY_SCALED[0]))
+    out_path = tmp_path / "regulator.json"
+    assert main(["synth", str(path), "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "informative for regulator design via condition2" in captured.out
+    assert captured.err.startswith(f"error: {path}: the Sylvester operator of A1 and A2 is")
+    assert not out_path.exists()
 
 
 def test_synth_not_informative_writes_nothing(scalar_path, tmp_path, capsys):

@@ -38,14 +38,19 @@ from ddreg import (
     w_residual,
     w_system,
 )
-from ddreg.analysis import _regulator_system, _solve_regulator, unvec
+from ddreg.analysis import _francis, _regulator_system, _solve_regulator, unvec
 from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
 from ddreg.lmi import _certified, _inverse_certificate, _riccati_gain, _right_inverses
 from ddreg.model import within_tolerance
-from ddreg.synthesis import _lmi_for, _solve_member
+from ddreg.synthesis import _lmi_for
 
-from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
+from _instances import (
+    coupling_free_instance,
+    inconsistent_problem,
+    ladder_problems,
+    regulable_instance,
+)
 
 
 def fixture_problem(name):
@@ -116,21 +121,11 @@ def test_regulable_instances_synthesize_and_verify():
         assert report.passed
 
 
-def _ladder_problems(n2):
-    root = Path(__file__).resolve().parents[1]
-    gen = runpy.run_path(str(root / "perfbench" / "instances.py"))
-    return [
-        (inst.name, gen["to_problem"](inst))
-        for inst in gen["ladder_set"]()
-        if inst.X2.shape[0] == n2
-    ]
-
-
 def test_ill_conditioned_ladder_problems_are_regulated_via_condition2():
     # cond(X2_minus) is 8.5e6-6.2e7 here.  The regulator equations are
     # solved on the compatible family, whose conditioning does not
     # depend on how the samples are scaled.
-    problems = _ladder_problems(16)
+    problems = ladder_problems(16)
     assert len(problems) == 3
     for name, problem in problems:
         result = synthesize(problem)
@@ -425,7 +420,7 @@ def test_the_riccati_solution_certifies_the_corpus_without_a_stein_solve(monkeyp
 def test_the_stein_certificate_certifies_where_s_inverse_misses_the_margin(monkeypatch):
     # On ladder-n16-2 the block of X^dagger S^-1 reaches min_eig 1.2e-7,
     # below the margin; the gamma-scaled Stein certificate reaches 3.0e-4.
-    (problem,) = [problem for name, problem in _ladder_problems(16) if name == "ladder-n16-2"]
+    (problem,) = [problem for name, problem in ladder_problems(16) if name == "ladder-n16-2"]
     lmi = _lmi_for(problem, compatible_set(problem), ())
     Xp, N = _right_inverses(lmi)
     F, S = _riccati_gain(lmi.Z @ Xp, lmi.Z @ N)
@@ -555,20 +550,21 @@ def test_the_lu_route_agrees_with_least_squares():
 
 def test_condition2_solves_the_francis_equations_of_the_particular_member():
     # Known coupling, identified: the classical regulator of the particular
-    # member, bitwise.
+    # member, bitwise, and K1 = V - K2 T from its pair.
     identified = 0
     for seed in range(100):
         problem = regulable_instance(seed).problem
         family, known = compatible_set(problem), problem.known
         if family.r:
             continue
-        Y, residual, holds = _solve_member(problem, family)
+        outcome = check_condition2(problem, family)
         classical = solve_classical_regulator(
             known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2, known.E
         )
-        assert _bits((Y[: problem.n2], Y[problem.n2 :], residual, holds)) == _bits(
-            (classical.T, classical.V, classical.residual, classical.feasible)
-        )
+        assert classical.feasible and outcome.holds
+        assert _bits(outcome.diagnostics["w_residual"]) == _bits(classical.residual)
+        K2 = outcome.regulator.K2
+        assert _bits(outcome.regulator.K1) == _bits(-K2 @ classical.T + classical.V)
         identified += 1
     assert identified >= 50
     # r > 0: a Y that solves its equations meets its kernel rows
@@ -578,9 +574,13 @@ def test_condition2_solves_the_francis_equations_of_the_particular_member():
     problems += [coupling_free_instance(seed).problem.without_a3() for seed in range(20)]
     solved = 0
     for problem in problems:
-        family = compatible_set(problem)
+        family, known = compatible_set(problem), problem.known
         assert family.r > 0
-        Y, _, holds = _solve_member(problem, family)
+        Y, residual, holds = _francis(
+            known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2,
+            known.E, (np.hstack([family.S1.T, family.S2.T]), -family.S3.T),
+        )
+        assert _bits(check_condition2(problem, family).diagnostics["w_residual"]) == _bits(residual)
         kernel = family.S1.T @ Y[: problem.n2] + family.S2.T @ Y[problem.n2 :] + family.S3.T
         if holds:
             assert within_tolerance(float(np.linalg.norm(kernel)), float(np.linalg.norm(family.S3)))

@@ -11,6 +11,7 @@ along the way must pass verification over its whole compatible family.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from ddreg import (
     InconsistentDataError,
     KnownMatrices,
     ProblemData,
+    SingularOperatorError,
     build_problem,
     check_condition1,
     compatible_set,
@@ -28,7 +30,7 @@ from ddreg import (
 )
 from ddreg.model import rank_from_singular_values
 
-from _instances import coupling_free_instance, regulable_instance
+from _instances import BADLY_SCALED, coupling_free_instance, regulable_instance, scaled_experiment
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -138,31 +140,6 @@ def test_scaling_all_data_keeps_the_verdict(case, c):
     assert _condition1(scaled_problem).holds == _condition1(problem).holds
 
 
-def _scaled_experiment(seed, n2, m, n1, extra, k):
-    """One open-loop run of a random system, every row rescaled by 10^e, |e| <= k.
-
-    Rescaling the rows of x2, u and x1 is a change of coordinates, so the
-    data stay consistent; tau = n2 + m + n1 + extra leaves room for r = 0
-    in both coupling modes.
-    """
-    rng = np.random.default_rng(seed)
-    tau = n2 + m + n1 + extra
-    A2 = rng.standard_normal((n2, n2)) / np.sqrt(n2)
-    B2, A3 = rng.standard_normal((n2, m)), rng.standard_normal((n2, n1))
-    U, X1 = rng.standard_normal((m, tau)), rng.standard_normal((n1, tau))
-    X2 = np.empty((n2, tau + 1))
-    X2[:, 0] = rng.standard_normal(n2)
-    for t in range(tau):
-        X2[:, t + 1] = A2 @ X2[:, t] + B2 @ U[:, t] + A3 @ X1[:, t]
-    s2, su, s1 = (10.0 ** rng.integers(-k, k + 1, size=n) for n in (n2, m, n1))
-    known = KnownMatrices(
-        A1=np.eye(n1), A3=s2[:, None] * A3 / s1, D1=np.ones((1, n1)),
-        D2=np.ones((1, n2)), E=np.ones((1, m)),
-    )
-    data = ProblemData(U_minus=su[:, None] * U, X1_minus=s1[:, None] * X1, X2=s2[:, None] * X2)
-    return build_problem(data, known)
-
-
 @PROPERTY_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1), n2=st.integers(1, 5), m=st.integers(1, 3),
@@ -172,7 +149,7 @@ def test_an_identified_family_has_a_full_rank_x2_minus(seed, n2, m, n1, extra, k
     # The decision takes rank(X2_minus) = n2 without an SVD when r = 0:
     # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
     # sigma_min(G), and its cutoff is no larger than that of G.
-    problem = _scaled_experiment(seed, n2, m, n1, extra, k)
+    problem = scaled_experiment(seed, n2, m, n1, extra, k)
     X = problem.data.X2_minus
     rank = rank_from_singular_values(np.linalg.svd(X, compute_uv=False), X.shape)
     for build in (compatible_set, compatible_set_unknown_a3):
@@ -182,3 +159,22 @@ def test_an_identified_family_has_a_full_rank_x2_minus(seed, n2, m, n1, extra, k
             continue
         if family.r == 0:
             assert rank == n2
+
+
+@pytest.mark.parametrize("args", BADLY_SCALED)
+def test_a_singular_operator_is_named_for_what_was_measured(args):
+    # The spectra lie well apart; the guard trips on the operator's
+    # conditioning, and its message says so rather than that they intersect.
+    problem = scaled_experiment(*args)
+    result = synthesize(problem)
+    family = result.family
+    A_cl = family.A2_part + family.B2_part @ result.regulator.K2
+    gap = np.abs(np.linalg.eigvals(problem.known.A1)[:, None] - np.linalg.eigvals(A_cl)).min()
+    assert gap > 0.04
+    message = (
+        r"^the Sylvester operator of A1 and A2 is numerically singular "
+        r"\(sigma_min/max\(1, sigma_max\) = \d\.\de-1[0-2] <= 1e-09\); "
+        r"the spectra nearly intersect or the data are badly scaled$"
+    )
+    with pytest.raises(SingularOperatorError, match=message):
+        verify_regulator(result.regulator, family, problem.known)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddreg import (
     DimensionError,
@@ -19,6 +20,7 @@ from ddreg import (
     synthesize_unknown_a3,
     verify_regulator,
 )
+from ddreg.analysis import _regulated
 from ddreg.examples import EXAMPLE_NAMES, fixture_text
 from ddreg.fileio import parse_problem
 
@@ -26,6 +28,7 @@ from _instances import (
     PLANAR_GAIN_SHAPES,
     WRONG_GAIN_SHAPES,
     coupling_free_instance,
+    ladder_problems,
     regulable_instance,
     wrong_shape_regulator,
 )
@@ -237,3 +240,39 @@ def test_an_overflowing_right_hand_side_of_a_family_with_kernel_names_both_terms
     )
     with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
         verify_regulator(regulator, family, problem.known)
+
+
+def test_the_regulation_core_matches_scipy_on_every_member_direction():
+    # Verification's Sylvester stack, at N = 0 and along each e_i c_j^T of
+    # the kernel coordinate, against scipy's Bartels-Stewart solve of
+    # -A_cl T + T A1 = R_k; the output norms follow from the same T.
+    problems = [regulable_instance(seed).problem for seed in range(100)]
+    for seed in range(20):
+        instance = coupling_free_instance(seed)
+        known = replace(instance.problem.known, A3=instance.system.A3)
+        problems += [instance.problem, build_problem(instance.problem.data, known)]
+    problems += [problem for _, problem in ladder_problems()]
+    directions = 0
+    for problem in problems:
+        run = synthesize if problem.known.A3 is not None else synthesize_unknown_a3
+        result = run(problem)
+        if result.regulator is None:
+            continue
+        family, known = result.family, problem.known
+        K1, K2 = result.regulator.K1, result.regulator.K2
+        A_cl = family.A2_part + family.B2_part @ K2
+        C = family.S3.T + family.S2.T @ K1
+        rhs = [family.A3_part + family.B2_part @ K1]
+        I2 = np.eye(problem.n2)
+        rhs += [np.outer(I2[i], C[j]) for i in range(problem.n2) for j in range(family.r)]
+        C_cl, offset = known.D2 + known.E @ K2, known.D1 + known.E @ K1
+        T, norms = _regulated(known.A1, A_cl, np.array(rhs), C_cl, offset)
+        assert T.shape == (len(rhs), problem.n2, problem.n1)
+        for k, R_k in enumerate(rhs):
+            reference = scipy.linalg.solve_sylvester(-A_cl, known.A1, R_k)
+            assert np.linalg.norm(T[k] - reference) <= 1e-10 * np.linalg.norm(reference)
+            output = C_cl @ reference + (offset if k == 0 else 0.0)
+            scale = np.linalg.norm(C_cl) * np.linalg.norm(reference) + np.linalg.norm(offset)
+            assert abs(norms[k] - np.linalg.norm(output)) <= 1e-10 * scale
+        directions += len(rhs) - 1
+    assert directions > 0
