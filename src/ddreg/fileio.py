@@ -140,7 +140,10 @@ def _matrix_field(doc: dict, key: str, required: bool = True):
         for entry in row:
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise ValueError(f"field {key!r} contains a non-numeric entry {entry!r}")
-    return np.array(value, dtype=float)
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"field {key!r} holds an integer beyond double range") from None
 
 
 def _check_dims(doc: dict, shapes: dict[str, int]) -> None:
@@ -262,6 +265,7 @@ def save_regulator(path, regulator: Regulator, problem_sha256: str | None = None
 
 
 def parse_regulator(text: str, origin: str = "<string>") -> RegulatorDocument:
+    """Parse regulator-file text; tool_version is a string, problem_sha256 a string or null."""
     with naming(origin):
         doc = _parse_json(text)
         K1 = _matrix_field(doc, "K1")
@@ -278,10 +282,16 @@ def parse_regulator(text: str, origin: str = "<string>") -> RegulatorDocument:
             Theta=witnesses["Theta"],
             X2_dagger=witnesses["X_dagger"],
         )
+        tool_version = doc.get("tool_version", "")
+        if not isinstance(tool_version, str):
+            raise ValueError(f"field 'tool_version' must be a string, got {tool_version!r:.60}")
+        problem_sha256 = doc.get("problem_sha256")
+        if not isinstance(problem_sha256, (str, type(None))):
+            raise ValueError(
+                f"field 'problem_sha256' must be a string or null, got {problem_sha256!r:.60}"
+            )
     return RegulatorDocument(
-        regulator=regulator,
-        tool_version=str(doc.get("tool_version", "")),
-        problem_sha256=doc.get("problem_sha256"),
+        regulator=regulator, tool_version=tool_version, problem_sha256=problem_sha256
     )
 
 

@@ -331,8 +331,8 @@ class CompatibleSet:
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
     built the family is kept for the conditions, and G and Z are read-only.
-    compatible_set records the problem it built the family from, so the
-    conditions accept that family without comparing its regression.
+    A family holds no link to the problem it was built from; the
+    conditions accept it by these fields alone.
     """
 
     A2_part: np.ndarray
@@ -344,9 +344,6 @@ class CompatibleSet:
     residual: float
     G: np.ndarray
     Z: np.ndarray
-
-    # Not a field: a family built or copied by hand was built from no problem.
-    _problem = None
 
     @property
     def r(self) -> int:
@@ -414,7 +411,7 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
         S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, residual=residual, G=G, Z=Z,
     )
     G.flags.writeable = Z.flags.writeable = False  # so _svd cannot go stale
-    _assign(family, _svd=svd, _problem=problem)
+    _assign(family, _svd=svd)
     return family
 
 

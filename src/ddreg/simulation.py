@@ -161,15 +161,17 @@ def closed_loop_sim(
     X2 = np.empty((system.n2, n_steps))
     U = np.empty((K1.shape[0], n_steps))
     Zout = np.empty((D1.shape[0], n_steps))
-    for t in range(n_steps):
-        u = K1 @ x1 + K2 @ x2
-        X1[:, t] = x1
-        X2[:, t] = x2
-        U[:, t] = u
-        Zout[:, t] = D1 @ x1 + D2 @ x2 + E @ u
-        if t < horizon:
-            x2 = system.A2 @ x2 + system.B2 @ u + system.A3 @ x1
-            x1 = system.A1 @ x1
+    # A member that diverges runs on to inf or nan; decay_check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps):
+            u = K1 @ x1 + K2 @ x2
+            X1[:, t] = x1
+            X2[:, t] = x2
+            U[:, t] = u
+            Zout[:, t] = D1 @ x1 + D2 @ x2 + E @ u
+            if t < horizon:
+                x2 = system.A2 @ x2 + system.B2 @ u + system.A3 @ x1
+                x1 = system.A1 @ x1
     return Trajectory(x1=X1, x2=X2, u=U, z=Zout)
 
 

@@ -110,13 +110,12 @@ class SynthesisResult:
 def _family_for(problem: Problem, family: CompatibleSet | None) -> CompatibleSet:
     """The family of problem, built when None; a given one must fit its sizes and data.
 
-    A family that compatible_set built from this very problem fits by
-    construction and is taken without a comparison.
+    Every given family, synthesize's own included, is accepted by one
+    rule: its blocks fit the problem's n1, n2 and m, its G and Z the
+    coupling mode and tau, and G and Z equal the problem's regression.
     """
     if family is None:
         return compatible_set(problem)
-    if family._problem is problem:
-        return family
     n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
     _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
     unknown, tau = problem.known.A3 is None, ("tau", problem.tau, "U_minus")
@@ -216,7 +215,7 @@ def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> C
     The image-inclusion test E K1 = -D1, held to within_tolerance of
     ||D1||, runs first; when it already fails the right-inverse is not
     decided.  It is decided on the family (built when None) and raises
-    the errors of check_condition2; synthesize hands on its own.
+    the errors of check_condition2, also on the family synthesize hands on.
     """
     family = _family_for(problem, family)
     known, data = problem.known, problem.data
@@ -259,11 +258,12 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
     otherwise, and they must hold within_tolerance of ||rhs||; K2 =
     U_minus X^dagger, K1 = V - K2 T, and the witness W = G^+ [T; V (; I)]
     comes from the family's SVD of G.  Building the family raises
-    InconsistentDataError when no system matches the data; a given
-    family raises DimensionError naming its block that misfits the
-    problem's n2, m, n1, coupling mode or tau, and InconsistentDataError
-    naming its G or Z fitted to other data.  Equations whose right-hand
-    side or residual overflows raise NonFiniteError.
+    InconsistentDataError when no system matches the data.  A given
+    family, synthesize's own included, is accepted by its fields alone:
+    it raises DimensionError naming its block that misfits the problem's
+    n2, m, n1, coupling mode or tau, and InconsistentDataError naming
+    its G or Z when that differs from the problem's.  Equations whose
+    right-hand side or residual overflows raise NonFiniteError.
     """
     family, known = _family_for(problem, family), problem.known
     lmi = solve_lmi(_lmi_for(problem, family, ()))

@@ -368,6 +368,7 @@ _MALFORMED = {
     "NaN": lambda value: _with_first_entry(value, float("nan")),
     "Infinity": lambda value: _with_first_entry(value, float("inf")),
     "object": lambda value: {"rows": value},
+    "huge integer": lambda value: _with_first_entry(value, 10**400),
 }
 
 
@@ -436,6 +437,23 @@ def test_simulate_names_the_regulator_file_and_the_gain_of_the_wrong_shape(
     captured = capsys.readouterr()
     message = f"{field} must have shape {PLANAR_GAIN_SHAPES[field]}, got {shape}"
     assert captured.err == f"error: {reg_path}: {message}\n"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_simulate_names_the_regulator_file_and_a_gain_beyond_double_range(
+    planar_path, tmp_path, capsys
+):
+    reg_path, out_path = tmp_path / "regulator.json", tmp_path / "t.csv"
+    assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(reg_path.read_text())
+    doc["K1"] = _with_first_entry(doc["K1"], 10**400)
+    reg_path.write_text(json.dumps(doc))
+    argv = ["simulate", str(planar_path), str(reg_path), "--out", str(out_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reg_path}: field 'K1' holds an integer beyond double range\n"
     assert captured.out == ""
     assert not out_path.exists()
 
@@ -557,6 +575,23 @@ def test_simulate_reports_a_diverged_member_without_a_warning(tmp_path, capsys):
         assert main(argv) == 2
     captured = capsys.readouterr()
     assert "decay=FAIL rate=0.0000 terminal=inf" in captured.out
+    assert captured.err == ""
+
+
+def test_simulate_runs_members_sampled_far_out_without_a_warning(planar_path, tmp_path, capsys):
+    # At radius 1e20 sampled members diverge to inf or nan while the
+    # regulator still passes whole-family verification; the simulation
+    # used to leak numpy's overflow warnings to stderr.
+    reg_path = tmp_path / "regulator.json"
+    assert main(["synth", str(planar_path), "-o", str(reg_path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", str(planar_path), str(reg_path), "--out", str(tmp_path / "t.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--radius", "1e20"]) == 0
+    captured = capsys.readouterr()
+    assert "verification over the whole family (r=1): PASS" in captured.out
+    assert re.search(r"decay=FAIL rate=\S+ terminal=(nan|inf)", captured.out), captured.out
     assert captured.err == ""
 
 

@@ -1,5 +1,6 @@
 """Problem, regulator and trajectory file round trips."""
 
+import json
 import re
 import tracemalloc
 
@@ -172,6 +173,23 @@ def test_parse_regulator_requires_provenance():
         parse_regulator(text)
 
 
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("problem_sha256", 5, "a string or null, got 5"),
+        ("tool_version", [1, 2], "a string, got [1, 2]"),
+        ("tool_version", None, "a string, got None"),
+    ],
+)
+def test_parse_regulator_requires_string_metadata(field, value, expected):
+    # A numeric hash used to read as a mismatch, and a list as the version '[1, 2]'.
+    doc = json.loads(regulator_to_text(ddreg.Regulator(K1=[[0.5]], K2=[[-0.5]], provenance="c")))
+    doc[field] = value
+    message = f"regulator.json: field '{field}' must be {expected}"
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(message)}$"):
+        parse_regulator(json.dumps(doc), origin="regulator.json")
+
+
 def test_load_system_round_trip(tmp_path):
     instance = regulable_instance(2)
     system, known = instance.system, instance.problem.known
@@ -184,8 +202,6 @@ def test_load_system_round_trip(tmp_path):
         "D2": known.D2.tolist(),
         "E": known.E.tolist(),
     }
-    import json
-
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc))
     loaded_system, loaded_known = load_system(path)

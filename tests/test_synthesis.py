@@ -763,12 +763,15 @@ def _bits(value):
 
 def _decided_problems():
     problems = [fixture_problem("scalar"), fixture_problem("planar")]
-    problems += [regulable_instance(seed).problem for seed in range(5)]
+    problems += [regulable_instance(seed).problem for seed in range(20)]
     problems += [coupling_free_instance(seed).problem.without_a3() for seed in range(5)]
     return problems + [regulable_instance(seed).problem.without_a3() for seed in range(5)]
 
 
 def test_a_check_decides_the_same_with_and_without_its_problems_family():
+    # A family is accepted by its fields alone: the family compatible_set
+    # built and an unchanged copy of it give the same outcome, bit for
+    # bit, and a copy with other data is refused, whoever made it.
     verdicts = set()
     for problem in _decided_problems():
         family = compatible_set(problem)
@@ -777,6 +780,8 @@ def test_a_check_decides_the_same_with_and_without_its_problems_family():
             assert _bits(check(problem, family)) == _bits(alone)
             # A copy made from the fields factors G again on first use.
             assert _bits(check(problem, replace(family))) == _bits(alone)
+            with pytest.raises(InconsistentDataError, match=r"^family\.Z is not the regression"):
+                check(problem, replace(family, Z=family.Z + 1.0))
             verdicts.add((check.__name__, alone.holds))
     # Condition 1 holds somewhere (on the planar fixture), and fails elsewhere.
     assert {("check_condition1", True), ("check_condition1", False)} <= verdicts
