@@ -14,7 +14,6 @@ parsing or deciding on its contents.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from .fileio import (
 )
 from .model import build_problem, compatible_set
 from .simulation import (
+    MAX_RADIUS,
     TrueSystem,
     closed_loop_sim,
     decay_check,
@@ -66,10 +66,10 @@ def _int_in(low: int, high: int | None = None):
     return integer
 
 
-def _finite_nonnegative(text: str) -> float:
+def _radius(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not 0.0 <= value <= MAX_RADIUS:
+        raise argparse.ArgumentTypeError(f"must be a number from 0 to {MAX_RADIUS!r}, got {text!r}")
     return value
 
 
@@ -256,6 +256,12 @@ def cmd_example(args) -> int:
         return 2
     regulator = result.regulator
     regulator_path = outdir / f"{name}_regulator.json"
+    with naming(doc.origin):
+        verification = verify_regulator(regulator, result.family, doc.problem.known)
+    if not verification.passed:
+        _print_verification(result.family, verification)
+        print(f"not writing {regulator_path}: the regulator fails verification")
+        return 2
     save_regulator(regulator_path, regulator, problem_sha256=doc.sha256)
     print(f"wrote {regulator_path}")
 
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=_int_in(19, 10_000), default=None, help="steps to simulate (19 to 10000)")
     p_sim.add_argument("--x1-0", dest="x1_0", type=_vector, default=None, help="initial exosystem state, comma-separated")
     p_sim.add_argument("--x2-0", dest="x2_0", type=_vector, default=None, help="initial endosystem state, comma-separated")
-    p_sim.add_argument("--radius", type=_finite_nonnegative, default=5.0, help="kernel coordinate range for sampling")
+    p_sim.add_argument("--radius", type=_radius, default=5.0, help="kernel coordinate range for sampling")
     p_sim.add_argument("--seed", type=_int_in(0), default=0, help="sampling seed (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
 

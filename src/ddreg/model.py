@@ -331,8 +331,7 @@ class CompatibleSet:
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
     built the family is kept for the conditions, and G and Z are read-only.
-    A family holds no link to the problem it was built from; the
-    conditions accept it by these fields alone.
+    The conditions and verification decide on these fields alone.
     """
 
     A2_part: np.ndarray

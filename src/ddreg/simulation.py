@@ -38,7 +38,11 @@ __all__ = [
     "horizon_for_radius",
     "sample_members",
     "sample_members_unknown_a3",
+    "MAX_RADIUS",
 ]
+
+# The largest sampling radius: the width 2 * radius of [-radius, radius] must be a double.
+MAX_RADIUS = float(np.finfo(float).max) / 2
 
 # Roundoff floor of ||z||: an absolute floor, and a floor relative to the
 # peak that applies only within a factor of the final value.
@@ -227,6 +231,8 @@ def decay_check(trajectory: Trajectory, rho_bound: float) -> DecayResult:
 def _sample_members(cset: CompatibleSet, count: int, radius: float, seed: int):
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not abs(radius) <= MAX_RADIUS:
+        raise ValueError(f"radius must be a number of size at most {MAX_RADIUS!r}, got {radius!r}")
     if cset.r == 0:
         return [(cset.A2_part.copy(), cset.B2_part.copy(), cset.A3_part.copy())]
     rng = np.random.default_rng(seed)
@@ -242,7 +248,8 @@ def sample_members(
     """Draw (A2, B2, A3) members of the family with uniform kernel coordinates.
 
     With r = 0 the family is a single system and only the particular
-    solution is returned, regardless of count.
+    solution is returned, regardless of count.  Raises ValueError when
+    count is below 1 or radius is nan or larger in size than MAX_RADIUS.
     """
     return _sample_members(cset, count, radius, seed)
 

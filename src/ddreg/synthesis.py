@@ -15,14 +15,16 @@ route yields one gain pair that works for every member of the
 compatible family, and verify_regulator checks any gain pair against
 the whole family in closed form, by check_output_regulated's solve.
 
-The coupling A3 is unknown exactly when problem.known.A3 is None; every
-function here reads the mode from the problem.  The compatible family
-then ranges over (A2, B2, A3) triples, the right-inverse must also
-satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
-does not depend on the coupling, and X1_minus W = I appends I to
-[T; V], so S3 enters the kernel rows; the equations keep A3_part.
-synthesize requires A3; synthesize_unknown_a3 drops any provided A3
-and runs the same path.
+The conditions decide on the compatible family and the known matrices,
+as verify_regulator does, and read no problem: the coupling A3 is
+unknown exactly when the family's regression G stacks X1_minus under
+[X2_minus; U_minus], and the known matrices' A3 is not read.  The
+family then ranges over (A2, B2, A3) triples, the right-inverse must
+also satisfy X1_minus Theta = 0 so the certified closed loop
+X2_plus X^dagger does not depend on the coupling, and X1_minus W = I
+appends I to [T; V], so S3 enters the kernel rows; the equations keep
+A3_part.  synthesize requires A3; synthesize_unknown_a3 drops any
+provided A3 and runs the same path.
 
 The decision is a function of the problem alone: it draws no random
 numbers and takes no settings.  Both routes are exact, so trying
@@ -42,7 +44,6 @@ from .analysis import _francis, _regulated, _regulator_system, _require_anti_sta
 from .lmi import LmiProblem, LmiSolution, solve_lmi
 from .model import (
     CompatibleSet,
-    InconsistentDataError,
     KnownMatrices,
     NonFiniteError,
     Problem,
@@ -107,45 +108,36 @@ class SynthesisResult:
     family: CompatibleSet
 
 
-def _family_for(problem: Problem, family: CompatibleSet | None) -> CompatibleSet:
-    """The family of problem, built when None; a given one must fit its sizes and data.
+def _known_dims(known: KnownMatrices) -> tuple[tuple, tuple, tuple]:
+    """The dims n1, n2 and m of require_shape, each read from the known matrix that fixes it."""
+    return ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2"), ("m", known.m, "known.E")
 
-    Every given family, synthesize's own included, is accepted by one
-    rule: its blocks fit the problem's n1, n2 and m, its G and Z the
-    coupling mode and tau, and G and Z equal the problem's regression.
+
+def _regression(family: CompatibleSet, n1: tuple, n2: tuple, m: tuple) -> tuple:
+    """(X2_minus, U_minus, coupling), the row blocks of family.G; coupling is (X1_minus,) or ().
+
+    G has n2+m rows when A3 is known and n2+m+n1 when it is not.  Raises
+    DimensionError naming the first block of family that misfits the dims
+    n1, n2 or m (see _require_family), then G, then Z unless it is n2 x tau.
     """
-    if family is None:
-        return compatible_set(problem)
-    n1, n2 = ("n1", problem.n1, "A1"), ("n2", problem.n2, "X2")
-    _require_family("family", family, n1, n2, ("m", problem.m, "U_minus"))
-    unknown, tau = problem.known.A3 is None, ("tau", problem.tau, "U_minus")
-    rows = problem.n2 + problem.m + (problem.n1 if unknown else 0)
-    require_shape("family.G", family.G, ("n2+m+n1" if unknown else "n2+m", rows), tau)
-    require_shape("family.Z", family.Z, n2, tau)
-    for name, given, own in zip(("family.G", "family.Z"), (family.G, family.Z), _stack(problem)):
-        if not np.array_equal(given, own):
-            raise InconsistentDataError(f"{name} is not the regression of the problem's data")
-    return family
+    _require_family("family", family, n1, n2, m)
+    G, Z, rows, tau = family.G, family.Z, n2[1] + m[1], family.G.shape[-1:]
+    unknown = G.shape[:1] == (rows + n1[1],)
+    height = ("n2+m+n1", rows + n1[1]) if unknown else ("n2+m", rows)
+    if G.shape != (height[1], *tau) or Z.shape != (n2[1], *tau):
+        require_shape("family.G", G, height, ("tau", None))
+        require_shape("family.Z", Z, n2, ("tau", G.shape[1], "family.G"))
+    return G[: n2[1]], G[n2[1] : rows], (G[rows:],) if unknown else ()
 
 
-def _rank_x2_minus(problem: Problem, family: CompatibleSet) -> int:
+def _rank_x2_minus(family: CompatibleSet) -> int:
     # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
     # sigma_min(G) > tol(G) >= tol(X2_minus) when G has full row rank
     # (r = 0): its rank is n2 without a second SVD.
     if not family.r:
-        return problem.n2
-    X = problem.data.X2_minus
+        return family.n2
+    X = family.G[: family.n2]
     return rank_from_singular_values(np.linalg.svd(X, compute_uv=False), X.shape)
-
-
-def _lmi_for(problem: Problem, family: CompatibleSet, constraints: tuple) -> LmiProblem:
-    if problem.known.A3 is None:
-        constraints = constraints + (problem.data.X1_minus,)
-    return LmiProblem._of(problem.data.X2_minus, family.Z, constraints)
-
-
-def _provenance(name: str, problem: Problem) -> str:
-    return name + ("_unknown_a3" if problem.known.A3 is None else "")
 
 
 def _data_equations(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -181,23 +173,26 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
-def check_endo_stabilization(problem: Problem) -> EndoStabilization:
+def check_endo_stabilization(family: CompatibleSet) -> EndoStabilization:
     """Decide whether the data pin down one stabilizing state feedback.
 
     Informative iff X2_minus has full row rank and some right-inverse
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
     stabilizes every compatible member.  The certificate must reach
-    LmiProblem.margin.  It is decided on the problem's compatible family,
-    so data that no system could have produced raise InconsistentDataError.
+    LmiProblem.margin.  The data are the row blocks of family.G, whose
+    row count gives the coupling mode; raises DimensionError naming a
+    block of family that misfits the sizes of A2_part, B2_part and A3_part.
     """
-    family = compatible_set(problem)
-    lmi = solve_lmi(_lmi_for(problem, family, ()))
+    n1 = ("n1", family.A3_part.shape[-1], "family.A3_part")
+    m = ("m", family.B2_part.shape[-1], "family.B2_part")
+    X2_minus, U_minus, coupling = _regression(family, n1, ("n2", family.n2, "family.A2_part"), m)
+    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
     return EndoStabilization(
         informative=lmi.found,
-        K2=problem.data.U_minus @ lmi.X_dagger if lmi.found else None,
+        K2=U_minus @ lmi.X_dagger if lmi.found else None,
         X_dagger=lmi.X_dagger,
         lmi=lmi,
-        rank_X2_minus=_rank_x2_minus(problem, family),
+        rank_X2_minus=_rank_x2_minus(family),
     )
 
 
@@ -207,18 +202,22 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
     )
 
 
-def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> ConditionOutcome:
+def _holds(name: str, coupling: tuple, lmi: LmiSolution, diagnostics, **gains) -> ConditionOutcome:
+    provenance = name + ("_unknown_a3" if coupling else "")
+    regulator = Regulator._of(provenance, **gains, Theta=lmi.Theta, X2_dagger=lmi.X_dagger)
+    return ConditionOutcome(holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics)
+
+
+def check_condition1(family: CompatibleSet, known: KnownMatrices) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
     The right-inverse is constrained so D2 + E K2 vanishes on the data
-    (and, when A3 is None, so the right-inverse annihilates X1_minus).
-    The image-inclusion test E K1 = -D1, held to within_tolerance of
-    ||D1||, runs first; when it already fails the right-inverse is not
-    decided.  It is decided on the family (built when None) and raises
-    the errors of check_condition2, also on the family synthesize hands on.
+    (and, under unknown coupling, so the right-inverse annihilates
+    X1_minus).  The image-inclusion test E K1 = -D1, held to
+    within_tolerance of ||D1||, runs first; when it already fails the
+    right-inverse is not decided.  Raises the errors of check_condition2.
     """
-    family = _family_for(problem, family)
-    known, data = problem.known, problem.data
+    X2_minus, U_minus, coupling = _regression(family, *_known_dims(known))
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
@@ -227,46 +226,35 @@ def check_condition1(problem: Problem, family: CompatibleSet | None = None) -> C
         return _fails(None, diagnostics, reason)
     # An output map that overflows is reported below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        output_map = known.D2 @ data.X2_minus + known.E @ data.U_minus
+        output_map = known.D2 @ X2_minus + known.E @ U_minus
     if not np.isfinite(output_map).all():
         raise NonFiniteError("the output map D2 X2_minus + E U_minus contains non-finite entries")
-    lmi = solve_lmi(_lmi_for(problem, family, (output_map,)))
+    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, (output_map, *coupling)))
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
         return _fails(lmi, diagnostics, _lmi_failure(lmi, sought))
-    regulator = Regulator._of(
-        _provenance("condition1", problem),
-        K1=K1,
-        K2=data.U_minus @ lmi.X_dagger,
-        Theta=lmi.Theta,
-        X2_dagger=lmi.X_dagger,
-    )
-    return ConditionOutcome(
-        holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics
-    )
+    return _holds("condition1", coupling, lmi, diagnostics, K1=K1, K2=U_minus @ lmi.X_dagger)
 
 
-def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> ConditionOutcome:
+def check_condition2(family: CompatibleSet, known: KnownMatrices) -> ConditionOutcome:
     """Equation route: stabilizing right-inverse plus regulator equations.
 
-    The equations are those of the particular member of the compatible
-    family (built when family is None) for Y = [T; V] = [X2_minus;
-    U_minus] W: T A1 - A2_part T - B2_part V = A3_part, in both coupling
-    modes, and D1 + D2 T + E V = 0, with the kernel rows S1^T T + S2^T V
-    + S3^T = 0 when r > 0.  LU solves them when square, least squares
-    otherwise, and they must hold within_tolerance of ||rhs||; K2 =
-    U_minus X^dagger, K1 = V - K2 T, and the witness W = G^+ [T; V (; I)]
-    comes from the family's SVD of G.  Building the family raises
-    InconsistentDataError when no system matches the data.  A given
-    family, synthesize's own included, is accepted by its fields alone:
-    it raises DimensionError naming its block that misfits the problem's
-    n2, m, n1, coupling mode or tau, and InconsistentDataError naming
-    its G or Z when that differs from the problem's.  Equations whose
-    right-hand side or residual overflows raise NonFiniteError.
+    The equations are those of the family's particular member for Y =
+    [T; V] = [X2_minus; U_minus] W: T A1 - A2_part T - B2_part V =
+    A3_part, in both coupling modes, and D1 + D2 T + E V = 0, with the
+    kernel rows S1^T T + S2^T V + S3^T = 0 when r > 0.  LU solves them
+    when square, least squares otherwise, and they must hold
+    within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
+    and the witness W = G^+ [T; V (; I)] comes from the family's SVD of
+    G.  The data and the coupling mode are read from family.G's row
+    blocks and row count; known supplies A1, D1, D2 and E, and its A3 is
+    not read.  Raises DimensionError naming the block of family that
+    misfits known, or its G or Z, and NonFiniteError when the equations'
+    right-hand side or residual overflows.
     """
-    family, known = _family_for(problem, family), problem.known
-    lmi = solve_lmi(_lmi_for(problem, family, ()))
+    X2_minus, U_minus, coupling = _regression(family, *_known_dims(known))
+    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
     # G W = [T; V (; I)] gives the equations of the particular member for
     # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
     kernel = (np.hstack([family.S1.T, family.S2.T]), -family.S3.T) if family.r else ()
@@ -280,19 +268,10 @@ def check_condition2(problem: Problem, family: CompatibleSet | None = None) -> C
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    K2 = problem.data.U_minus @ lmi.X_dagger
-    G_W = Y if known.A3 is not None else np.vstack([Y, np.eye(problem.n1)])
-    regulator = Regulator._of(
-        _provenance("condition2", problem),
-        K1=-K2 @ Y[: problem.n2] + Y[problem.n2 :],
-        K2=K2,
-        W=family._pinv_apply(G_W),
-        Theta=lmi.Theta,
-        X2_dagger=lmi.X_dagger,
-    )
-    return ConditionOutcome(
-        holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics
-    )
+    K2 = U_minus @ lmi.X_dagger
+    G_W = np.vstack([Y, np.eye(known.n1)]) if coupling else Y
+    K1, W = -K2 @ Y[: known.n2] + Y[known.n2 :], family._pinv_apply(G_W)
+    return _holds("condition2", coupling, lmi, diagnostics, K1=K1, K2=K2, W=W)
 
 
 def _fold(report: SynthesisReport, outcome: ConditionOutcome) -> None:
@@ -322,7 +301,7 @@ def _informative(problem, report, name, outcome, family) -> SynthesisResult:
 def _synthesize(problem: Problem) -> SynthesisResult:
     family = compatible_set(problem)
     _require_anti_stable(problem.known._a1_anti_stable)
-    rank = _rank_x2_minus(problem, family)
+    rank = _rank_x2_minus(family)
     report = SynthesisReport(rank_X2_minus=rank)
     if rank < problem.n2:
         report.messages.append(
@@ -331,11 +310,11 @@ def _synthesize(problem: Problem) -> SynthesisResult:
         )
         return SynthesisResult(regulator=None, report=report, family=family)
 
-    report.condition2 = second = check_condition2(problem, family)
+    report.condition2 = second = check_condition2(family, problem.known)
     _fold(report, second)
     if second.holds:
         return _informative(problem, report, "condition2", second, family)
-    report.condition1 = first = check_condition1(problem, family)
+    report.condition1 = first = check_condition1(family, problem.known)
     _fold(report, first)
     if first.holds:
         return _informative(problem, report, "condition1", first, family)
@@ -406,8 +385,7 @@ def _require_family(name: str, family: CompatibleSet, n1: tuple, n2: tuple, m: t
 
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
     require_gain_shapes(regulator, known)
-    n1, n2 = ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2")
-    _require_family("cset", cset, n1, n2, ("m", known.m, "known.E"))
+    _require_family("cset", cset, *_known_dims(known))
     _require_anti_stable(known._a1_anti_stable)
     K1, K2 = regulator.K1, regulator.K2
     # Gains that overflow end in NonFiniteError when the closed loop, or

@@ -233,7 +233,7 @@ def test_criterion_4_oracle_equivalence_on_identifiable_instances():
             continue
         regulator = result.regulator
         if regulator is None or regulator.W is None:
-            outcome = check_condition2(problem)
+            outcome = check_condition2(cset, problem.known)
             if not outcome.holds:
                 continue
             regulator = outcome.regulator

@@ -601,6 +601,7 @@ def test_simulate_runs_members_sampled_far_out_without_a_warning(planar_path, tm
         ("--radius", "nan"),
         ("--radius", "inf"),
         ("--radius", "-1"),
+        ("--radius", "1e308"),
         ("--horizon", "5"),
         ("--horizon", "1000000000"),
         ("--members", "0"),
@@ -619,6 +620,7 @@ def test_bad_simulate_flags_exit_one_naming_the_flag(flag, value, planar_path, t
     captured = capsys.readouterr()
     assert f"argument {flag}:" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out_path.exists()
 
 
@@ -651,6 +653,24 @@ def test_example_commands_run_end_to_end(tmp_path, capsys):
         assert (outdir / f"{name}_problem.json").exists()
         assert (outdir / f"{name}_regulator.json").exists()
         assert (outdir / f"{name}_trajectories.csv").exists()
+
+
+def test_example_writes_no_regulator_that_fails_verification(tmp_path, monkeypatch, capsys):
+    def failing(regulator, cset, known):
+        return ddreg.synthesis.VerificationReport(
+            passed=False, rho_bound=0.5, residuals={"output_offset": 1.0}
+        )
+
+    monkeypatch.setattr(ddreg.cli, "verify_regulator", failing)
+    assert main(["example", "planar", "--outdir", str(tmp_path)]) == 2
+    regulator_path = tmp_path / "planar_regulator.json"
+    assert not regulator_path.exists()
+    assert not (tmp_path / "planar_trajectories.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "verification over the whole family (r=1): FAIL; output_offset=1.000e+00",
+        f"not writing {regulator_path}: the regulator fails verification",
+    ]
 
 
 def test_example_prints_the_seed_once(tmp_path, capsys):

@@ -20,6 +20,7 @@ from ddreg import (
     synthesize,
 )
 from ddreg import ProblemData, build_problem
+from ddreg.simulation import MAX_RADIUS
 
 from _instances import coupling_free_instance, regulable_instance
 
@@ -242,6 +243,17 @@ def test_sample_members_rejects_nonpositive_count():
     cset = compatible_set(instance.problem)
     with pytest.raises(ValueError):
         sample_members(cset, 0)
+
+
+def test_sample_members_rejects_a_radius_whose_range_overflows():
+    # Kernel coordinates are drawn from [-radius, radius]; beyond
+    # MAX_RADIUS its width is not a double and numpy raised OverflowError.
+    cset = compatible_set(coupling_free_instance(1).problem.without_a3())
+    assert cset.r >= 1
+    assert len(sample_members(cset, 2, radius=MAX_RADIUS)) == 2
+    for radius in (np.nextafter(MAX_RADIUS, np.inf), 1e308, -1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^radius must be a number of size at most"):
+            sample_members(cset, 2, radius=radius)
 
 
 def test_true_system_validates_shapes():

@@ -43,7 +43,6 @@ from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from ddreg.fileio import parse_problem
 from ddreg.lmi import _certified, _inverse_certificate, _riccati_gain, _right_inverses
 from ddreg.model import within_tolerance
-from ddreg.synthesis import _lmi_for
 
 from _instances import (
     coupling_free_instance,
@@ -103,7 +102,8 @@ def test_try_order_does_not_change_the_decision():
     verdicts = set()
     for problem in problems:
         run = synthesize_unknown_a3 if problem.known.A3 is None else synthesize
-        either = check_condition1(problem).holds or check_condition2(problem).holds
+        family, known = compatible_set(problem), problem.known
+        either = check_condition1(family, known).holds or check_condition2(family, known).holds
         assert (run(problem).regulator is not None) == either
         verdicts.add(either)
     assert verdicts == {True, False}
@@ -222,7 +222,7 @@ def test_every_layer_rejects_a_stable_exosystem_with_one_message():
 
 @pytest.mark.parametrize("synth", [synthesize, synthesize_unknown_a3])
 def test_data_no_system_could_have_produced_is_rejected(synth):
-    # check_condition2 reads only the data and holds on them in both modes.
+    # Condition 2 holds on the data alone, in both modes.
     with pytest.raises(InconsistentDataError, match="no system matches"):
         synth(inconsistent_problem())
 
@@ -242,7 +242,7 @@ def test_the_inconsistency_message_names_the_bound_it_used(synth, bound):
 
 def test_condition1_reports_image_inclusion_failure():
     problem = fixture_problem("scalar")
-    outcome = check_condition1(problem)
+    outcome = check_condition1(compatible_set(problem), problem.known)
     assert not outcome.holds
     assert "im D1" in outcome.reasons[0]
     assert outcome.lmi is None
@@ -250,7 +250,7 @@ def test_condition1_reports_image_inclusion_failure():
 
 def test_condition2_carries_witnesses():
     problem = fixture_problem("scalar")
-    outcome = check_condition2(problem)
+    outcome = check_condition2(compatible_set(problem), problem.known)
     assert outcome.holds
     regulator = outcome.regulator
     assert regulator.W is not None
@@ -261,9 +261,9 @@ def test_condition2_carries_witnesses():
 
 def test_endo_stabilization_stabilizes_every_member():
     problem = fixture_problem("planar")
-    endo = check_endo_stabilization(problem)
-    assert endo.informative
     cset = compatible_set(problem)
+    endo = check_endo_stabilization(cset)
+    assert endo.informative
     rng = np.random.default_rng(9)
     for _ in range(10):
         N = rng.uniform(-5.0, 5.0, (cset.n2, cset.r))
@@ -352,7 +352,8 @@ def test_withheld_coupling_without_a_right_inverse_is_not_informative():
 
 
 def test_condition1_names_the_mode_no_right_inverse_can_move():
-    outcome = check_condition1(regulable_instance(2).problem)
+    problem = regulable_instance(2).problem
+    outcome = check_condition1(compatible_set(problem), problem.known)
     assert not outcome.holds
     lam = outcome.lmi.witness.eigenvalue
     assert abs(lam) >= 1.0
@@ -362,7 +363,8 @@ def test_condition1_names_the_mode_no_right_inverse_can_move():
 
 def test_a_missed_margin_is_not_reported_as_infeasibility(monkeypatch):
     monkeypatch.setattr(LmiProblem, "margin", 1e9)
-    outcome = check_condition2(fixture_problem("scalar"))
+    problem = fixture_problem("scalar")
+    outcome = check_condition2(compatible_set(problem), problem.known)
     assert not outcome.holds
     assert outcome.lmi.witness is None
     assert 0.0 < outcome.lmi.min_eig < 1e9
@@ -421,7 +423,8 @@ def test_the_stein_certificate_certifies_where_s_inverse_misses_the_margin(monke
     # On ladder-n16-2 the block of X^dagger S^-1 reaches min_eig 1.2e-7,
     # below the margin; the gamma-scaled Stein certificate reaches 3.0e-4.
     (problem,) = [problem for name, problem in ladder_problems(16) if name == "ladder-n16-2"]
-    lmi = _lmi_for(problem, compatible_set(problem), ())
+    family = compatible_set(problem)
+    lmi = LmiProblem._of(family.G[: family.n2], family.Z, ())
     Xp, N = _right_inverses(lmi)
     F, S = _riccati_gain(lmi.Z @ Xp, lmi.Z @ N)
     Theta, min_eig = _certified(lmi, _inverse_certificate, Xp + N @ F, S)
@@ -460,7 +463,7 @@ def test_an_overflowing_output_map_ends_in_a_named_non_finite_error():
     known = replace(problem.known, D2=np.full_like(problem.known.D2, 1.7e308))
     message = "the output map D2 X2_minus + E U_minus contains non-finite entries"
     with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
-        check_condition1(build_problem(problem.data, known))
+        check_condition1(compatible_set(problem), known)
 
 
 def test_synthesize_requires_the_coupling_matrix():
@@ -557,7 +560,7 @@ def test_condition2_solves_the_francis_equations_of_the_particular_member():
         family, known = compatible_set(problem), problem.known
         if family.r:
             continue
-        outcome = check_condition2(problem, family)
+        outcome = check_condition2(family, known)
         classical = solve_classical_regulator(
             known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2, known.E
         )
@@ -580,7 +583,7 @@ def test_condition2_solves_the_francis_equations_of_the_particular_member():
             known.A1, family.A2_part, family.B2_part, family.A3_part, known.D1, known.D2,
             known.E, (np.hstack([family.S1.T, family.S2.T]), -family.S3.T),
         )
-        assert _bits(check_condition2(problem, family).diagnostics["w_residual"]) == _bits(residual)
+        assert _bits(check_condition2(family, known).diagnostics["w_residual"]) == _bits(residual)
         kernel = family.S1.T @ Y[: problem.n2] + family.S2.T @ Y[problem.n2 :] + family.S3.T
         if holds:
             assert within_tolerance(float(np.linalg.norm(kernel)), float(np.linalg.norm(family.S3)))
@@ -613,7 +616,7 @@ def test_condition2_gain_is_the_family_lqr_under_the_minimum_norm_metric():
     compared = 0
     for problem in problems:
         family = compatible_set(problem)
-        outcome = check_condition2(problem, family)
+        outcome = check_condition2(family, problem.known)
         if family.r or not outcome.holds:
             continue
         K2 = outcome.regulator.K2
@@ -642,7 +645,7 @@ def test_a_singular_square_system_reports_the_least_squares_residual():
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = float(np.linalg.norm(lhs @ sol - rhs))
     assert residual == pytest.approx(np.linalg.norm(known.D1), rel=1e-9)
-    outcome = check_condition2(problem)
+    outcome = check_condition2(compatible_set(problem), problem.known)
     assert not outcome.holds
     assert outcome.diagnostics["w_residual"] == pytest.approx(residual, rel=1e-12)
     assert f"regulator equations infeasible (residual {residual:.3e})" in outcome.reasons
@@ -664,58 +667,31 @@ def test_an_lu_solution_that_misses_the_residual_rule_falls_back(monkeypatch):
     assert np.array_equal(Y, unvec(sol, (rows, problem.n1)))
 
 
-def test_condition2_names_a_family_of_another_problem():
-    # The planar family used to reach the regulator-equation solve and
-    # end in numpy's broadcast error.
-    family = synthesize(fixture_problem("planar")).family
-    message = "family.A2_part must have shape (n2, n2) = (1, 1), got (2, 2); n2 is read from X2"
-    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-        check_condition2(fixture_problem("scalar"), family)
-
-
 CHECKS = [check_endo_stabilization, check_condition1, check_condition2]
-FAMILY_CHECKS = [check_condition1, check_condition2]
 
 
-@pytest.mark.parametrize("check", FAMILY_CHECKS)
+def _decide(check, family, known):
+    """check on family, with known when check takes the known matrices."""
+    return check(family) if check is check_endo_stabilization else check(family, known)
+
+
+@pytest.mark.parametrize("check", CHECKS)
 @pytest.mark.parametrize(
-    "mode, rows",
+    "block, message",
     [
-        (lambda problem: (problem, problem.without_a3()), "(n2+m, tau) = (2, 3), got (5, 3)"),
-        (lambda problem: (problem.without_a3(), problem), "(n2+m+n1, tau) = (5, 3), got (2, 3)"),
+        ("G", "family.G must have shape (n2+m, tau) = (3, 2), got (4, 2)"),
+        ("Z", "family.Z must have shape (n2, tau) = (2, 2), got (2, 1); tau is read from family.G"),
     ],
-    ids=["known-problem-unknown-family", "unknown-problem-known-family"],
+    ids=["G", "Z"],
 )
-def test_a_family_of_the_other_coupling_mode_is_named(check, mode, rows):
-    # Both families of the scalar fixture have the problem's n2, m and
-    # n1; only their regressions differ.  Condition 2 used to return a
-    # verdict, and with the unknown-coupling family a K1 that fails
-    # verification against the problem's own family.
-    problem, source = mode(fixture_problem("scalar"))
-    message = f"family.G must have shape {rows}"
-    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-        check(problem, compatible_set(source))
-
-
-@pytest.mark.parametrize("check", FAMILY_CHECKS)
-def test_a_family_of_other_data_of_the_same_sizes_is_named(check):
-    # Regulable instances 2 and 3 have the same n1, n2, m, p and tau.
-    # Condition 2 used to hold on problem 2 with the family of problem 3,
-    # and its gains failed verification against problem 2's own family
-    # with rho_bound 1.71.
-    problem, other = regulable_instance(2).problem, regulable_instance(3).problem
-    with pytest.raises(InconsistentDataError, match=r"^family\.G is not the regression"):
-        check(problem, compatible_set(other))
+def test_a_family_whose_regression_misfits_its_blocks_is_named(check, block, message):
+    # The planar family's G has neither n2+m nor n2+m+n1 rows once a row
+    # is added, and a Z one sample short disagrees with G on tau.
+    problem = fixture_problem("planar")
     family = compatible_set(problem)
-    with pytest.raises(InconsistentDataError, match=r"^family\.Z is not the regression"):
-        check(problem, replace(family, Z=family.Z + 1.0))
-    # A family of an equal problem built from copies is the problem's own.
-    data, known = problem.data, problem.known
-    twin = build_problem(
-        ProblemData(U_minus=data.U_minus.copy(), X1_minus=data.X1_minus.copy(), X2=data.X2.copy()),
-        KnownMatrices(A1=known.A1, A3=known.A3.copy(), D1=known.D1, D2=known.D2, E=known.E),
-    )
-    assert _bits(check(problem, compatible_set(twin))) == _bits(check(problem))
+    bad = {"G": np.vstack([family.G, family.G[:1]]), "Z": family.Z[:, :-1]}[block]
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        _decide(check, replace(family, **{block: bad}), problem.known)
 
 
 def test_a_built_family_cannot_be_edited_under_its_factorization():
@@ -729,8 +705,9 @@ def test_a_built_family_cannot_be_edited_under_its_factorization():
 @pytest.mark.parametrize("check", CHECKS)
 def test_every_check_rejects_data_no_system_could_have_produced(check):
     # With E = 1 condition 1 holds and the data closed loop is stable,
-    # yet no system matches the transitions: the checks used to read the
-    # data alone and return a verdict.
+    # yet no system matches the transitions, so no family can be built
+    # for a check to decide on: the checks used to read the data alone
+    # and return a verdict.
     problem = inconsistent_problem()
     known = problem.known
     problem = build_problem(
@@ -740,7 +717,7 @@ def test_every_check_rejects_data_no_system_could_have_produced(check):
     with pytest.raises(InconsistentDataError) as expected:
         synthesize(problem)
     with pytest.raises(InconsistentDataError) as raised:
-        check(problem)
+        _decide(check, compatible_set(problem), problem.known)
     assert str(raised.value) == str(expected.value)
     assert "residual 3.065e+00" in str(raised.value)
 
@@ -761,30 +738,20 @@ def _bits(value):
     return value
 
 
-def _decided_problems():
-    problems = [fixture_problem("scalar"), fixture_problem("planar")]
-    problems += [regulable_instance(seed).problem for seed in range(20)]
-    problems += [coupling_free_instance(seed).problem.without_a3() for seed in range(5)]
-    return problems + [regulable_instance(seed).problem.without_a3() for seed in range(5)]
-
-
-def test_a_check_decides_the_same_with_and_without_its_problems_family():
-    # A family is accepted by its fields alone: the family compatible_set
-    # built and an unchanged copy of it give the same outcome, bit for
-    # bit, and a copy with other data is refused, whoever made it.
-    verdicts = set()
-    for problem in _decided_problems():
-        family = compatible_set(problem)
-        for check in FAMILY_CHECKS:
-            alone = check(problem)
-            assert _bits(check(problem, family)) == _bits(alone)
-            # A copy made from the fields factors G again on first use.
-            assert _bits(check(problem, replace(family))) == _bits(alone)
-            with pytest.raises(InconsistentDataError, match=r"^family\.Z is not the regression"):
-                check(problem, replace(family, Z=family.Z + 1.0))
-            verdicts.add((check.__name__, alone.holds))
-    # Condition 1 holds somewhere (on the planar fixture), and fails elsewhere.
-    assert {("check_condition1", True), ("check_condition1", False)} <= verdicts
+def test_the_conditions_read_the_coupling_mode_from_the_family():
+    # known still holds A3, and the family of the problem without it
+    # decides as synthesize_unknown_a3 does, bit for bit: 11 of these 30
+    # hold, the rest fail with the same reasons and diagnostics.
+    held = 0
+    for seed in range(30):
+        problem = regulable_instance(seed).problem
+        assert problem.known.A3 is not None
+        outcome = check_condition2(compatible_set(problem.without_a3()), problem.known)
+        assert _bits(outcome) == _bits(synthesize_unknown_a3(problem).report.condition2)
+        if outcome.holds:
+            assert outcome.regulator.provenance == "condition2_unknown_a3"
+            held += 1
+    assert held == 11
 
 
 @pytest.mark.parametrize(
@@ -794,7 +761,13 @@ def test_a_check_decides_the_same_with_and_without_its_problems_family():
         synthesize,
         synthesize_unknown_a3,
         w_system,
-        *CHECKS,
+        *[
+            pytest.param(
+                lambda problem, check=check: _decide(check, compatible_set(problem), problem.known),
+                id=check.__name__,
+            )
+            for check in CHECKS
+        ],
     ],
 )
 def test_no_call_writes_to_the_problem(call):

@@ -72,8 +72,9 @@ def _synthesize(problem):
 
 def _condition1(problem):
     """Condition 1 on its own, so its output-zeroing constraint decides too."""
-    outcome = check_condition1(problem)
-    _verified(outcome.regulator, compatible_set(problem), problem)
+    family = compatible_set(problem)
+    outcome = check_condition1(family, problem.known)
+    _verified(outcome.regulator, family, problem)
     return outcome
 
 

@@ -13,6 +13,8 @@ from ddreg import (
     NonFiniteError,
     Regulator,
     build_problem,
+    check_condition1,
+    check_condition2,
     check_output_regulated,
     member_at,
     spectral_info,
@@ -154,23 +156,33 @@ def _family_of_another_shape(field):
 
 
 @pytest.mark.parametrize(
+    "check, name",
+    [
+        pytest.param(verify_regulator, "cset", id="verify"),
+        pytest.param(check_condition1, "family", id="condition1"),
+        pytest.param(check_condition2, "family", id="condition2"),
+    ],
+)
+@pytest.mark.parametrize(
     "field, message",
     [
-        pytest.param("A2_part", "cset.A2_part must have shape (n2, n2) = (2, 2), got (1, 1); "
+        pytest.param("A2_part", "A2_part must have shape (n2, n2) = (2, 2), got (1, 1); "
                      "n2 is read from known.D2", id="A2_part"),
-        pytest.param("B2_part", "cset.B2_part must have shape (n2, m) = (2, 1), got (2, 2); "
+        pytest.param("B2_part", "B2_part must have shape (n2, m) = (2, 1), got (2, 2); "
                      "m is read from known.E", id="B2_part"),
-        pytest.param("A3_part", "cset.A3_part must have shape (n2, n1) = (2, 3), got (2, 2); "
+        pytest.param("A3_part", "A3_part must have shape (n2, n1) = (2, 3), got (2, 2); "
                      "n1 is read from known.A1", id="A3_part"),
     ],
 )
-def test_verification_rejects_a_family_of_other_known_matrices(field, message):
+def test_verification_rejects_a_family_of_other_known_matrices(check, name, field, message):
     # The scalar fixture's family with the planar fixture's regulator and
-    # known matrices used to fail on the internal closed loop M.
+    # known matrices used to fail on the internal closed loop M; the
+    # conditions decide on a family and known matrices the same way.
     problem = _problem("fixture", "planar")
-    regulator = synthesize(problem).regulator
-    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-        verify_regulator(regulator, _family_of_another_shape(field), problem.known)
+    family, known = _family_of_another_shape(field), problem.known
+    args = (synthesize(problem).regulator, family, known) if name == "cset" else (family, known)
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'{name}.{message}')}$"):
+        check(*args)
 
 
 @pytest.mark.parametrize(
