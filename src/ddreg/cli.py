@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Subcommands: check (informativity verdict), synth (verify the gains
-against the whole compatible family, then write a regulator file),
-simulate (verify a regulator file the same way, then write a
-closed-loop CSV over sampled members), example (run a bundled worked
-example end to end) and gen-data (collect a problem file from a true
-system).  Exit codes: 0 success or informative, 2 not informative or a
-failed verification, 1 usage or input errors.  An error caused by a
-file names that file (fileio.naming), whether it comes from reading,
-parsing or deciding on its contents.
+Subcommands: check (decide informativity and verify the gains against
+the whole compatible family), synth (the same, then write a regulator
+file that passed), simulate (verify a regulator file the same way, then
+write a closed-loop CSV over sampled members), example (synth on a
+bundled problem, then simulate its members) and gen-data (collect a
+problem file from a true system).  Exit codes: 0 success or informative
+with verified gains, 2 not informative or a failed verification, 1 usage
+or input errors.  An error caused by a file names that file
+(fileio.naming), whether it comes from reading, parsing or deciding on
+its contents.
 """
 
 from __future__ import annotations
@@ -152,38 +153,71 @@ def _print_report(doc, result) -> None:
         print(message)
 
 
-def _run_synthesis(doc, unknown_a3: bool):
+def _decide(doc, unknown_a3: bool):
+    """Decide on doc's problem and verify an informative result over its family.
+
+    Prints the report, then any gains with their verification; returns
+    the result and that verification (None when not informative).
+    """
     run = synthesize_unknown_a3 if unknown_a3 else synthesize
     with naming(doc.origin):
-        return run(doc.problem)
-
-
-def cmd_check(args) -> int:
-    doc = load_problem(args.problem)
-    result = _run_synthesis(doc, args.unknown_a3)
-    _print_report(doc, result)
-    return 0 if result.regulator is not None else 2
-
-
-def cmd_synth(args) -> int:
-    doc = load_problem(args.problem)
-    result = _run_synthesis(doc, args.unknown_a3)
-    _print_report(doc, result)
-    if result.regulator is None:
-        return 2
-    regulator = result.regulator
-    with naming(doc.origin):
+        result = run(doc.problem)
+        _print_report(doc, result)
+        regulator = result.regulator
+        if regulator is None:
+            return result, None
         verification = verify_regulator(regulator, result.family, doc.problem.known)
     print(f"K1 = {_fmt(regulator.K1)}")
     print(f"K2 = {_fmt(regulator.K2)}")
     print(f"closed-loop spectral radius: {verification.rho_bound:.6f}")
     _print_verification(result.family, verification)
+    return result, verification
+
+
+def _save_verified(path, doc, result, verification) -> bool:
+    """Write the regulator to path when it passed verification; say which happened."""
+    if verification is None:
+        return False
     if not verification.passed:
-        print(f"not writing {args.output}: the regulator fails verification")
-        return 2
-    save_regulator(args.output, regulator, problem_sha256=doc.sha256)
-    print(f"wrote {args.output}")
-    return 0
+        print(f"not writing {path}: the regulator fails verification")
+        return False
+    save_regulator(path, result.regulator, problem_sha256=doc.sha256)
+    print(f"wrote {path}")
+    return True
+
+
+def cmd_check(args) -> int:
+    _, verification = _decide(load_problem(args.problem), args.unknown_a3)
+    return 0 if verification is not None and verification.passed else 2
+
+
+def cmd_synth(args) -> int:
+    doc = load_problem(args.problem)
+    result, verification = _decide(doc, args.unknown_a3)
+    return 0 if _save_verified(args.output, doc, result, verification) else 2
+
+
+def _simulate_members(members, known, regulator, rho_bound, x1_0, x2_0, horizon, out) -> None:
+    """Simulate the sampled members in closed loop, one line each, and write their CSV."""
+    if horizon is None:
+        horizon = horizon_for_radius(rho_bound)
+
+    def blocks():
+        # Simulated one member at a time, as the CSV writer asks for it.
+        for index, (A2, B2, A3) in enumerate(members):
+            system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
+            trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
+            result = decay_check(trajectory, rho_bound)
+            radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
+            verdict = "PASS" if result.passes else "FAIL"
+            print(
+                f"member {index}: radius={radius:.6f} decay={verdict} "
+                f"rate={result.fitted_rate:.4f} terminal={result.terminal_norm:.3e}"
+            )
+            yield index, trajectory
+
+    write_trajectories_csv(out, blocks())
+    print(f"wrote {out} ({len(members)} member blocks, horizon {horizon})")
 
 
 def cmd_simulate(args) -> int:
@@ -209,82 +243,47 @@ def cmd_simulate(args) -> int:
         family = compatible_set(problem)
         verification = verify_regulator(regulator, family, known)
     _print_verification(family, verification)
-    members = sample_members(family, args.members, args.radius, args.seed)
-    rho_bound = verification.rho_bound
-    horizon = args.horizon if args.horizon is not None else horizon_for_radius(rho_bound)
-
-    def blocks():
-        # Simulated one member at a time, as the CSV writer asks for it.
-        for index, (A2, B2, A3) in enumerate(members):
-            system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
-            trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
-            result = decay_check(trajectory, rho_bound)
-            radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
-            verdict = "PASS" if result.passes else "FAIL"
-            print(
-                f"member {index}: radius={radius:.6f} decay={verdict} "
-                f"rate={result.fitted_rate:.4f} terminal={result.terminal_norm:.3e}"
-            )
-            yield index, trajectory
-
-    write_trajectories_csv(args.out, blocks())
-    print(f"wrote {args.out} ({len(members)} member blocks, horizon {horizon})")
+    _simulate_members(
+        sample_members(family, args.members, args.radius, args.seed),
+        known, regulator, verification.rho_bound, x1_0, x2_0, args.horizon, args.out,
+    )
     return 0 if verification.passed else 2
-
-
-def _print_reference_comparison(name: str, computed: dict) -> None:
-    reference = REFERENCE[name]
-    for key, value in computed.items():
-        if key in reference:
-            print(f"reference {key}: {_fmt(np.asarray(reference[key]))}")
-        print(f"computed  {key}: {_fmt(np.asarray(value))}")
 
 
 def cmd_example(args) -> int:
     name = args.name
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    text = fixture_text(name)
+    with naming(args.outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     problem_path = outdir / f"{name}_problem.json"
-    _atomic_write_text(problem_path, text)
+    _atomic_write_text(problem_path, fixture_text(name))
     print(f"wrote {problem_path}")
 
     doc = load_problem(problem_path)
-    result = _run_synthesis(doc, unknown_a3=False)
-    _print_report(doc, result)
-    if result.regulator is None:
+    result, verification = _decide(doc, unknown_a3=False)
+    if not _save_verified(outdir / f"{name}_regulator.json", doc, result, verification):
         return 2
-    regulator = result.regulator
-    regulator_path = outdir / f"{name}_regulator.json"
-    with naming(doc.origin):
-        verification = verify_regulator(regulator, result.family, doc.problem.known)
-    if not verification.passed:
-        _print_verification(result.family, verification)
-        print(f"not writing {regulator_path}: the regulator fails verification")
-        return 2
-    save_regulator(regulator_path, regulator, problem_sha256=doc.sha256)
-    print(f"wrote {regulator_path}")
+    regulator, family, reference = result.regulator, result.family, REFERENCE[name]
+    computed = {
+        "K1": regulator.K1,
+        "K2": regulator.K2,
+        "X_dagger": regulator.X2_dagger,
+        "W": regulator.W,
+        "closed_loop": family.A2_part + family.B2_part @ regulator.K2,
+    }
+    for key, value in computed.items():
+        if value is not None:
+            if key in reference:
+                print(f"reference {key}: {_fmt(reference[key])}")
+            print(f"computed  {key}: {_fmt(value)}")
 
-    computed = {"K1": regulator.K1, "K2": regulator.K2}
-    if regulator.X2_dagger is not None:
-        computed["X_dagger"] = regulator.X2_dagger
-    if regulator.W is not None:
-        computed["W"] = regulator.W
-    computed["closed_loop"] = result.family.A2_part + result.family.B2_part @ regulator.K2
-    _print_reference_comparison(name, computed)
-
-    simulate_args = argparse.Namespace(
-        problem=str(problem_path),
-        regulator=str(regulator_path),
-        out=str(outdir / f"{name}_trajectories.csv"),
-        members=4,
-        horizon=None,
-        x1_0=REFERENCE[name]["x1_0"],
-        x2_0=REFERENCE[name]["x2_0"],
-        seed=args.seed,
-        radius=5.0,
+    print(f"seed: {args.seed}")
+    _simulate_members(
+        sample_members(family, 4, 5.0, args.seed),
+        doc.problem.known, regulator, verification.rho_bound,
+        reference["x1_0"], reference["x2_0"], None, outdir / f"{name}_trajectories.csv",
     )
-    return cmd_simulate(simulate_args)
+    return 0
 
 
 def cmd_gen_data(args) -> int:

@@ -115,6 +115,37 @@ def moved_along_null_space(problem, solution) -> np.ndarray:
     return solution.Theta + t * step
 
 
+def scale_instance(n2: int, k: int) -> Instance:
+    """The scale family S(n2, k): n1 = 3, m = 4, p = 2, tau = n2 + 6, r = 0.
+
+    Drawn from default_rng(1000 + k) in the order of regulable_instance:
+    A2 is standard normal scaled to spectral radius 1.1, B2 standard
+    normal, and A3, D1 are back-solved from uniform T, V, D2, E.  The
+    pair (A2, B2) is stabilizable, so every instance is informative.
+    """
+    rng = np.random.default_rng(1000 + k)
+    n1, m, p = 3, 4, 2
+    A1 = exosystem(n1, rng)
+    A2 = rng.standard_normal((n2, n2))
+    A2 *= 1.1 / np.abs(np.linalg.eigvals(A2)).max()
+    B2 = rng.standard_normal((n2, m))
+    T = rng.uniform(-1.0, 1.0, (n2, n1))
+    V = rng.uniform(-1.0, 1.0, (m, n1))
+    A3 = T @ A1 - A2 @ T - B2 @ V
+    D2 = rng.uniform(-1.0, 1.0, (p, n2))
+    E = rng.uniform(-1.0, 1.0, (p, m))
+    D1 = -(D2 @ T + E @ V)
+    system = TrueSystem(A1=A1, A2=A2, B2=B2, A3=A3)
+    known = KnownMatrices(A1=A1, A3=A3, D1=D1, D2=D2, E=E)
+    data = generate_data(
+        system,
+        rng.uniform(-1.0, 1.0, n1),
+        rng.uniform(-1.0, 1.0, n2),
+        rng.uniform(-1.0, 1.0, (m, n2 + 6)),
+    )
+    return Instance(problem=build_problem(data, known), system=system, T=T, V=V)
+
+
 def coupling_free_instance(seed: int) -> Instance:
     """Unknown-coupling instance whose enlarged family has free directions.
 

@@ -30,6 +30,7 @@ from _instances import (
     coupling_free_instance,
     inconsistent_problem,
     regulable_instance,
+    scale_instance,
     scaled_experiment,
     wrong_shape_regulator,
 )
@@ -245,48 +246,107 @@ def test_bad_config_value_exits_one_naming_file_and_field(config, tmp_path, caps
     assert captured.out == ""
 
 
+@pytest.fixture(scope="module")
+def scale_path(tmp_path_factory):
+    """The problem file of S(128, 2), whose condition-1 gains fail verification."""
+    path = tmp_path_factory.mktemp("scale") / "s128_2.json"
+    save_problem(path, scale_instance(128, 2).problem)
+    return path
+
+
+def _fixture_case(name, *flags):
+    def case(tmp_path, scale_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(fixture_text(name))
+        return path, list(flags)
+
+    return case
+
+
+def _regulable_case(seed):
+    def case(tmp_path, scale_path):
+        path = tmp_path / f"regulable_{seed}.json"
+        save_problem(path, regulable_instance(seed).problem)
+        return path, []
+
+    return case
+
+
+CHECK_CASES = {
+    "scalar": _fixture_case("scalar"),
+    "scalar-unknown-a3": _fixture_case("scalar", "--unknown-a3"),
+    "planar": _fixture_case("planar"),
+    "planar-unknown-a3": _fixture_case("planar", "--unknown-a3"),
+    **{f"regulable-{seed}": _regulable_case(seed) for seed in range(5)},
+    "withheld-coupling-6": lambda tmp_path, scale_path: (
+        withheld_coupling_path(tmp_path, 6),
+        ["--unknown-a3"],
+    ),
+    "S(128,2)": lambda tmp_path, scale_path: (scale_path, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_prints_what_synth_prints_before_its_write_step(case, tmp_path, scale_path, capsys):
+    path, flags = CHECK_CASES[case](tmp_path, scale_path)
+    check_code = main(["check", str(path), *flags])
+    check_out = capsys.readouterr().out
+    synth_code = main(["synth", str(path), *flags, "-o", str(tmp_path / "regulator.json")])
+    synth_lines = capsys.readouterr().out.splitlines(keepends=True)
+    # The write step prints one line, and runs only on an informative decision.
+    if any(line.startswith("verification over the whole family") for line in synth_lines):
+        assert synth_lines[-1].startswith(("wrote ", "not writing "))
+        synth_lines = synth_lines[:-1]
+    assert check_out == "".join(synth_lines)
+    assert check_code == synth_code
+
+
+def test_gains_that_fail_verification_exit_two_from_check_and_synth(scale_path, tmp_path, capsys):
+    # S(128, 2): condition 1 holds, but its gains miss the output residual.
+    out_path = tmp_path / "regulator.json"
+    for argv in (["check", str(scale_path)], ["synth", str(scale_path), "-o", str(out_path)]):
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "informative for regulator design via condition1" in lines
+        assert any(
+            line.startswith("verification over the whole family (r=0): FAIL;") for line in lines
+        )
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["synth", "planar", "-o", "regulator.json"],
         ["synth", "coupling_free", "--unknown-a3", "-o", "regulator.json"],
+        ["check", "planar"],
+        ["simulate", "planar", "planar_regulator.json"],
+        ["example", "scalar"],
+        ["example", "planar"],
     ],
 )
 def test_each_command_builds_the_family_once(argv, tmp_path, monkeypatch, capsys):
     save_problem(tmp_path / "coupling_free", coupling_free_instance(3).problem)
     (tmp_path / "planar").write_text(fixture_text("planar"))
     monkeypatch.chdir(tmp_path)
-    calls = []
-    build = ddreg.model._compatible_set
+    assert main(["synth", "planar", "-o", "planar_regulator.json"]) == 0
+    builds, verifications = [], []
+    build, verify = ddreg.model._compatible_set, ddreg.cli.verify_regulator
 
-    def counting(*args):
-        calls.append(args)
+    def counting_build(*args):
+        builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(ddreg.model, "_compatible_set", counting)
+    def counting_verify(*args):
+        verifications.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(ddreg.model, "_compatible_set", counting_build)
+    monkeypatch.setattr(ddreg.cli, "verify_regulator", counting_verify)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 1
-
-
-def test_example_simulates_on_the_family_of_the_file_it_wrote(tmp_path, monkeypatch, capsys):
-    # The simulate step of example reads the problem file that example
-    # wrote, as `ddreg simulate` does: one family for the decision and
-    # one for the simulation, built from the same bytes.
-    monkeypatch.chdir(tmp_path)
-    families = []
-    build = ddreg.model._compatible_set
-
-    def recording(problem):
-        families.append(build(problem))
-        return families[-1]
-
-    monkeypatch.setattr(ddreg.model, "_compatible_set", recording)
-    assert main(["example", "planar", "--outdir", "."]) == 0
-    capsys.readouterr()
-    decision, simulation = families
-    for name in ("A2_part", "B2_part", "A3_part", "S1", "S2", "S3", "G", "Z"):
-        assert np.array_equal(getattr(decision, name), getattr(simulation, name))
+    assert len(builds) == 1
+    assert len(verifications) == 1
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])
@@ -671,6 +731,15 @@ def test_example_writes_no_regulator_that_fails_verification(tmp_path, monkeypat
         "verification over the whole family (r=1): FAIL; output_offset=1.000e+00",
         f"not writing {regulator_path}: the regulator fails verification",
     ]
+
+
+def test_example_into_an_existing_file_exits_one_naming_it(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["example", "planar", "--outdir", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: File exists\n"
+    assert captured.out == ""
 
 
 def test_example_prints_the_seed_once(tmp_path, capsys):

@@ -49,6 +49,7 @@ from _instances import (
     inconsistent_problem,
     ladder_problems,
     regulable_instance,
+    scale_instance,
 )
 
 
@@ -454,6 +455,21 @@ def test_every_returned_regulator_passes_verification():
             report = verify_regulator(result.regulator, result.family, problem.known)
             assert report.passed, (synth.__name__, report.residuals)
     assert returned >= 100
+
+
+def test_the_scale_instance_s128_2_is_decided_by_gains_that_fail_verification():
+    # Pins the S(n2, k) recipe where it misbehaves: condition 1
+    # certifies a right-inverse, yet D2 + E K2 is off by about 1e-5, so
+    # the output residual misses RESIDUAL_RTOL * (1 + ||D1||).
+    problem = scale_instance(128, 2).problem
+    assert (problem.n1, problem.n2, problem.m, problem.p, problem.tau) == (3, 128, 4, 2, 134)
+    result = synthesize(problem)
+    assert result.family.r == 0
+    assert result.regulator.provenance == "condition1"
+    assert result.report.condition1.diagnostics["lmi_min_eig"] == pytest.approx(4.8e-5, rel=0.05)
+    report = verify_regulator(result.regulator, result.family, problem.known)
+    assert not report.passed
+    assert report.residuals["output_offset"] == pytest.approx(4.76e-7, rel=0.05)
 
 
 def test_an_overflowing_output_map_ends_in_a_named_non_finite_error():
