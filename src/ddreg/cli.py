@@ -35,7 +35,7 @@ from .fileio import (
     write_trajectories_csv,
     _atomic_write_text,
 )
-from .model import build_problem, compatible_set
+from .model import build_problem, compatible_set, require_shape
 from .simulation import (
     MAX_RADIUS,
     TrueSystem,
@@ -290,7 +290,6 @@ def cmd_gen_data(args) -> int:
     system, known = load_system(args.system)
     x1_0 = _initial_state("--x1-0", args.x1_0, system.n1)
     x2_0 = _initial_state("--x2-0", args.x2_0, system.n2)
-    print(f"seed: {args.seed}")
     inputs = args.inputs
     if inputs is None:
         if args.tau is None:
@@ -301,7 +300,10 @@ def cmd_gen_data(args) -> int:
         raise ProblemFileError(
             f"--tau {args.tau} does not match --inputs with {inputs.shape[1]} columns"
         )
-    data = generate_data(system, x1_0, x2_0, inputs)
+    with naming(args.system):
+        require_shape("--inputs", inputs, ("m", system.m, "B2"), ("tau", None))
+        data = generate_data(system, x1_0, x2_0, inputs)
+    print(f"seed: {args.seed}")
     problem = build_problem(data, known)
     # Read the text back before writing it, so no unreadable file is left.
     text = problem_to_text(problem)

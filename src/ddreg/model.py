@@ -331,7 +331,10 @@ class CompatibleSet:
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
     built the family is kept for the conditions, and G and Z are read-only.
-    The conditions and verification decide on these fields alone.
+    The conditions and verification decide on these fields alone.  Made
+    by any route, the family checks each block against the n2, m, n1, r
+    and tau read from A2_part, B2_part, A3_part, S1 and G; DimensionError
+    names the first block that misfits and the block its size is read from.
     """
 
     A2_part: np.ndarray
@@ -343,6 +346,22 @@ class CompatibleSet:
     residual: float
     G: np.ndarray
     Z: np.ndarray
+
+    def __post_init__(self):
+        def dim(label, name, axis):
+            arr = getattr(self, name)
+            return (label, arr.shape[axis] if arr.ndim == 2 else None, name)
+
+        n2, m = dim("n2", "A2_part", 0), dim("m", "B2_part", 1)
+        n1, r = dim("n1", "A3_part", 1), dim("r", "S1", 1)
+        blocks = ("A2_part", n2, n2), ("B2_part", n2, m), ("A3_part", n2, n1), ("S1", n2, r)
+        for name, rows, cols in (*blocks, ("S2", m, r), ("S3", n1, r)):
+            require_shape(name, getattr(self, name), rows, cols)
+        rows = n2[1] + m[1]
+        unknown = self.G.shape[:1] == (rows + n1[1],)
+        height = ("n2+m+n1", rows + n1[1]) if unknown else ("n2+m", rows)
+        require_shape("G", self.G, height, ("tau", None))
+        require_shape("Z", self.Z, n2, dim("tau", "G", 1))
 
     @property
     def r(self) -> int:

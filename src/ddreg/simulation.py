@@ -18,6 +18,7 @@ from .model import (
     CompatibleSet,
     DimensionError,
     KnownMatrices,
+    NonFiniteError,
     ProblemData,
     Regulator,
     _as_matrix,
@@ -115,7 +116,9 @@ def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:
 
     inputs is m x tau; the returned ProblemData holds the applied inputs,
     the exosystem samples x1(0..tau-1) and the endosystem samples
-    x2(0..tau).  The inputs and the initial states must be finite.
+    x2(0..tau).  The inputs and the initial states must be finite; a
+    system that diverges past double precision within the run raises
+    NonFiniteError naming the first step whose state is not finite.
     """
     U = _as_matrix("inputs", inputs, ("m", system.m, "system.B2"), ("tau", None))
     tau = U.shape[1]
@@ -126,11 +129,20 @@ def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:
     X1 = np.empty((system.n1, tau))
     X2 = np.empty((system.n2, tau + 1))
     X2[:, 0] = x2
-    for t in range(tau):
-        X1[:, t] = x1
-        x2 = system.A2 @ x2 + system.B2 @ U[:, t] + system.A3 @ x1
-        x1 = system.A1 @ x1
-        X2[:, t + 1] = x2
+    # A state that overflows is reported below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(tau):
+            X1[:, t] = x1
+            x2 = system.A2 @ x2 + system.B2 @ U[:, t] + system.A3 @ x1
+            x1 = system.A1 @ x1
+            X2[:, t + 1] = x2
+    finite = np.isfinite(X2).all(axis=0)
+    finite[:-1] &= np.isfinite(X1).all(axis=0)
+    if not finite.all():
+        raise NonFiniteError(
+            f"the simulated state is not finite from step {int(np.argmin(finite))} "
+            f"of {tau}: the system diverges past double precision"
+        )
     return ProblemData(U_minus=U, X1_minus=X1, X2=X2)
 
 

@@ -108,26 +108,19 @@ class SynthesisResult:
     family: CompatibleSet
 
 
-def _known_dims(known: KnownMatrices) -> tuple[tuple, tuple, tuple]:
-    """The dims n1, n2 and m of require_shape, each read from the known matrix that fixes it."""
-    return ("n1", known.n1, "known.A1"), ("n2", known.n2, "known.D2"), ("m", known.m, "known.E")
+def _require_fit(name: str, family: CompatibleSet, known: KnownMatrices) -> None:
+    """Raise DimensionError naming the first system block of family that misfits known."""
+    n2, m = ("n2", known.n2, "known.D2"), ("m", known.m, "known.E")
+    require_shape(f"{name}.A2_part", family.A2_part, n2, n2)
+    require_shape(f"{name}.B2_part", family.B2_part, n2, m)
+    require_shape(f"{name}.A3_part", family.A3_part, n2, ("n1", known.n1, "known.A1"))
 
 
-def _regression(family: CompatibleSet, n1: tuple, n2: tuple, m: tuple) -> tuple:
-    """(X2_minus, U_minus, coupling), the row blocks of family.G; coupling is (X1_minus,) or ().
-
-    G has n2+m rows when A3 is known and n2+m+n1 when it is not.  Raises
-    DimensionError naming the first block of family that misfits the dims
-    n1, n2 or m (see _require_family), then G, then Z unless it is n2 x tau.
-    """
-    _require_family("family", family, n1, n2, m)
-    G, Z, rows, tau = family.G, family.Z, n2[1] + m[1], family.G.shape[-1:]
-    unknown = G.shape[:1] == (rows + n1[1],)
-    height = ("n2+m+n1", rows + n1[1]) if unknown else ("n2+m", rows)
-    if G.shape != (height[1], *tau) or Z.shape != (n2[1], *tau):
-        require_shape("family.G", G, height, ("tau", None))
-        require_shape("family.Z", Z, n2, ("tau", G.shape[1], "family.G"))
-    return G[: n2[1]], G[n2[1] : rows], (G[rows:],) if unknown else ()
+def _regression(family: CompatibleSet) -> tuple:
+    """(X2_minus, U_minus, coupling), the row blocks of family.G; coupling is (X1_minus,) or ()."""
+    G, n2, rows = family.G, family.n2, family.n2 + family.B2_part.shape[1]
+    unknown = G.shape[0] == rows + family.A3_part.shape[1]
+    return G[:n2], G[n2:rows], (G[rows:],) if unknown else ()
 
 
 def _rank_x2_minus(family: CompatibleSet) -> int:
@@ -180,12 +173,9 @@ def check_endo_stabilization(family: CompatibleSet) -> EndoStabilization:
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
     stabilizes every compatible member.  The certificate must reach
     LmiProblem.margin.  The data are the row blocks of family.G, whose
-    row count gives the coupling mode; raises DimensionError naming a
-    block of family that misfits the sizes of A2_part, B2_part and A3_part.
+    row count gives the coupling mode.
     """
-    n1 = ("n1", family.A3_part.shape[-1], "family.A3_part")
-    m = ("m", family.B2_part.shape[-1], "family.B2_part")
-    X2_minus, U_minus, coupling = _regression(family, n1, ("n2", family.n2, "family.A2_part"), m)
+    X2_minus, U_minus, coupling = _regression(family)
     lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
     return EndoStabilization(
         informative=lmi.found,
@@ -217,7 +207,8 @@ def check_condition1(family: CompatibleSet, known: KnownMatrices) -> ConditionOu
     within_tolerance of ||D1||, runs first; when it already fails the
     right-inverse is not decided.  Raises the errors of check_condition2.
     """
-    X2_minus, U_minus, coupling = _regression(family, *_known_dims(known))
+    _require_fit("family", family, known)
+    X2_minus, U_minus, coupling = _regression(family)
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
@@ -249,11 +240,12 @@ def check_condition2(family: CompatibleSet, known: KnownMatrices) -> ConditionOu
     and the witness W = G^+ [T; V (; I)] comes from the family's SVD of
     G.  The data and the coupling mode are read from family.G's row
     blocks and row count; known supplies A1, D1, D2 and E, and its A3 is
-    not read.  Raises DimensionError naming the block of family that
-    misfits known, or its G or Z, and NonFiniteError when the equations'
+    not read.  Raises DimensionError naming family.A2_part, B2_part or
+    A3_part when it misfits known, and NonFiniteError when the equations'
     right-hand side or residual overflows.
     """
-    X2_minus, U_minus, coupling = _regression(family, *_known_dims(known))
+    _require_fit("family", family, known)
+    X2_minus, U_minus, coupling = _regression(family)
     lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
     # G W = [T; V (; I)] gives the equations of the particular member for
     # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
@@ -369,23 +361,9 @@ def require_gain_shapes(regulator: Regulator, known: KnownMatrices) -> None:
     require_shape("K2", regulator.K2, ("m", known.m), ("n2", known.n2))
 
 
-def _require_family(name: str, family: CompatibleSet, n1: tuple, n2: tuple, m: tuple) -> None:
-    """Raise DimensionError naming the first block of family that misfits n1, n2 or m.
-
-    Each of n1, n2 and m is a dim of require_shape; r is read off S1.
-    """
-    require_shape(f"{name}.A2_part", family.A2_part, n2, n2)
-    require_shape(f"{name}.B2_part", family.B2_part, n2, m)
-    require_shape(f"{name}.A3_part", family.A3_part, n2, n1)
-    require_shape(f"{name}.S1", family.S1, n2, ("r", None))
-    r = ("r", family.S1.shape[1], f"{name}.S1")
-    require_shape(f"{name}.S2", family.S2, m, r)
-    require_shape(f"{name}.S3", family.S3, n1, r)
-
-
 def _verify_regulator(regulator, cset, known) -> VerificationReport:
     require_gain_shapes(regulator, known)
-    _require_family("cset", cset, *_known_dims(known))
+    _require_fit("cset", cset, known)
     _require_anti_stable(known._a1_anti_stable)
     K1, K2 = regulator.K1, regulator.K2
     # Gains that overflow end in NonFiniteError when the closed loop, or
@@ -448,9 +426,9 @@ def verify_regulator(
     output residual to within_tolerance of ||D1||, as there.  cset
     supplies the family; known supplies A1 and the output matrices.
     Raises DimensionError, via require_gain_shapes, when a gain does not
-    fit known, naming cset.A2_part, cset.B2_part or cset.A3_part when
-    the family's systems do not fit known, and naming cset.S2 or cset.S3
-    when a kernel block does not fit the r of cset.S1.  Raises
+    fit known, and naming cset.A2_part, cset.B2_part or cset.A3_part when
+    the family's systems do not fit known; the family checked its own
+    blocks against each other when it was made.  Raises
     NonFiniteError when the closed loop is not finite, or when it is
     stable and a Sylvester right-hand side is not, for instance because
     large gains overflow, and SingularOperatorError when that operator is

@@ -786,10 +786,51 @@ def test_gen_data_reproduces_the_bundled_fixture(scalar_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gen_data_requires_tau_or_inputs(system_path, tmp_path, capsys):
-    code = main(["gen-data", str(system_path), "-o", str(tmp_path / "p.json")])
-    assert code == 1
-    assert "either --inputs or --tau" in capsys.readouterr().err
+@pytest.fixture()
+def unstable_system_path(tmp_path):
+    """A one-input true system whose A2 has the eigenvalue 1.5."""
+    path = tmp_path / "unstable_system.json"
+    path.write_text(json.dumps({
+        "A1": [[1]], "A2": [[0.5, 0], [0.2, 1.5]], "B2": [[1], [1]], "A3": [[0], [0]],
+        "D1": [[1]], "D2": [[0, 0]], "E": [[-1]],
+    }))
+    return path
+
+
+def test_gen_data_of_a_diverging_run_names_the_system_file(unstable_system_path, tmp_path, capsys):
+    # The state overflows near step 1750: numpy used to warn twice on
+    # stderr, after the seed line, before an error that named no file.
+    out_path = tmp_path / "p.json"
+    argv = ["gen-data", str(unstable_system_path), "-o", str(out_path), "--tau", "2000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        rf"error: {re.escape(str(unstable_system_path))}: the simulated state is not finite "
+        r"from step \d+ of 2000: the system diverges past double precision\n", captured.err
+    ), captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--inputs", "1,2;3,4"], "{system}: --inputs must have shape (m, tau) = (1, 2), "
+         "got (2, 2); m is read from B2"),
+        (["--tau", "3", "--inputs", "1,2"], "--tau 3 does not match --inputs with 2 columns"),
+        ([], "either --inputs or --tau is required"),
+    ],
+    ids=["rows", "columns", "neither"],
+)
+def test_gen_data_checks_its_inputs_before_any_output(
+    flags, message, unstable_system_path, tmp_path, capsys
+):
+    out_path = tmp_path / "p.json"
+    assert main(["gen-data", str(unstable_system_path), "-o", str(out_path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(system=unstable_system_path)}\n"
+    assert not out_path.exists()
 
 
 def load_problem_from_fixture():

@@ -1,5 +1,6 @@
 """Data containers, validation, the compatible family and the numerical policy."""
 
+import dataclasses
 import inspect
 import re
 import warnings
@@ -19,13 +20,14 @@ from ddreg import (
     compatible_set,
     compatible_set_unknown_a3,
     member_at,
+    sample_members,
 )
 from ddreg import analysis, lmi, model, simulation
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
 from ddreg.model import RESIDUAL_RTOL, within_tolerance
 
-from _instances import inconsistent_problem, regulable_instance
+from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
 
 def scalar_problem():
@@ -205,6 +207,56 @@ def test_member_at_rejects_wrong_coordinate_shape():
     cset = compatible_set(scalar_problem())
     with pytest.raises(DimensionError):
         member_at(cset, np.ones((cset.n2, cset.r + 1)))
+
+
+# The planar family has n2 = 2, m = 1, n1 = 3, r = 1 and tau = 2; each
+# edit makes one block disagree with the sizes read from the others.
+FAMILY_EDITS = {
+    "A2_part": lambda f: f.A2_part[:, :1],
+    "B2_part": lambda f: f.B2_part[:1],
+    "A3_part": lambda f: f.A3_part[:1],
+    "S1": lambda f: f.S1[:1],
+    "S2": lambda f: np.hstack([f.S2, f.S2]),
+    "S3": lambda f: f.S3[:2],
+    "G": lambda f: np.vstack([f.G, f.G[:1]]),  # neither n2+m nor n2+m+n1 rows
+    "Z": lambda f: f.Z[:, :-1],
+}
+FAMILY_MISFITS = {
+    "A2_part": "A2_part must have shape (n2, n2) = (2, 2), got (2, 1)",
+    "B2_part": "B2_part must have shape (n2, m) = (2, 1), got (1, 1); n2 is read from A2_part",
+    "A3_part": "A3_part must have shape (n2, n1) = (2, 3), got (1, 3); n2 is read from A2_part",
+    "S1": "S1 must have shape (n2, r) = (2, 1), got (1, 1); n2 is read from A2_part",
+    "S2": "S2 must have shape (m, r) = (1, 1), got (1, 2); r is read from S1",
+    "S3": "S3 must have shape (n1, r) = (3, 1), got (2, 1); n1 is read from A3_part",
+    "G": "G must have shape (n2+m, tau) = (3, 2), got (4, 2)",
+    "Z": "Z must have shape (n2, tau) = (2, 2), got (2, 1); tau is read from G",
+}
+
+
+@pytest.mark.parametrize("route", ["replace", "constructor"])
+@pytest.mark.parametrize("field", FAMILY_MISFITS)
+def test_a_family_whose_blocks_disagree_is_refused_when_it_is_made(field, route):
+    # The conditions and verification used to find these, each on its own
+    # and only once it was asked to decide; member_at never did.
+    family = compatible_set(parse_problem(fixture_text("planar")).problem)
+    bad = FAMILY_EDITS[field](family)
+    with pytest.raises(DimensionError, match=f"^{re.escape(FAMILY_MISFITS[field])}$"):
+        if route == "replace":
+            dataclasses.replace(family, **{field: bad})
+        else:
+            blocks = {f.name: getattr(family, f.name) for f in dataclasses.fields(family)}
+            CompatibleSet(**{**blocks, field: bad})
+
+
+def test_no_member_is_drawn_from_a_family_whose_blocks_disagree():
+    # coupling_free_instance(0) has n2 = 3, m = 2, n1 = 2 and r = 2; a
+    # one-row S2 used to broadcast over both input columns and move every
+    # entry of the member's B2.
+    family = compatible_set(coupling_free_instance(0).problem)
+    message = "S2 must have shape (m, r) = (2, 2), got (1, 2); m is read from B2_part"
+    for draw in (lambda f: member_at(f, np.ones((3, 2))), lambda f: sample_members(f, 4)):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            draw(dataclasses.replace(family, S2=family.S2[:1]))
 
 
 def test_inconsistent_data_raises():

@@ -1,5 +1,6 @@
 """Data collection, closed-loop runs and the decay check."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ddreg import (
     DimensionError,
+    NonFiniteError,
     Trajectory,
     TrueSystem,
     closed_loop_sim,
@@ -55,6 +57,22 @@ def test_generate_data_validates_inputs():
         generate_data(
             system, np.ones(system.n1), np.ones(system.n2), np.ones((system.m, 0))
         )
+
+
+def test_a_diverging_system_names_the_first_step_whose_state_is_not_finite():
+    # An eigenvalue of 1.5 overflows double precision within 2000 steps;
+    # numpy's overflow warning would fail the test (pyproject.toml).
+    system = TrueSystem(
+        A1=[[1.0]], A2=[[0.5, 0.0], [0.2, 1.5]], B2=[[1.0], [1.0]], A3=[[0.0], [0.0]]
+    )
+    start = (np.ones(1), np.ones(2))
+    message = r"^the simulated state is not finite from step (\d+) of 2000: "
+    with pytest.raises(NonFiniteError, match=message) as raised:
+        generate_data(system, *start, np.ones((1, 2000)))
+    step = int(re.match(message, str(raised.value)).group(1))
+    assert np.isfinite(generate_data(system, *start, np.ones((1, step - 1))).X2).all()
+    with pytest.raises(NonFiniteError, match=f"from step {step} of {step}:"):
+        generate_data(system, *start, np.ones((1, step)))
 
 
 def test_closed_loop_columns_are_consistent():

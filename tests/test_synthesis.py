@@ -691,25 +691,6 @@ def _decide(check, family, known):
     return check(family) if check is check_endo_stabilization else check(family, known)
 
 
-@pytest.mark.parametrize("check", CHECKS)
-@pytest.mark.parametrize(
-    "block, message",
-    [
-        ("G", "family.G must have shape (n2+m, tau) = (3, 2), got (4, 2)"),
-        ("Z", "family.Z must have shape (n2, tau) = (2, 2), got (2, 1); tau is read from family.G"),
-    ],
-    ids=["G", "Z"],
-)
-def test_a_family_whose_regression_misfits_its_blocks_is_named(check, block, message):
-    # The planar family's G has neither n2+m nor n2+m+n1 rows once a row
-    # is added, and a Z one sample short disagrees with G on tau.
-    problem = fixture_problem("planar")
-    family = compatible_set(problem)
-    bad = {"G": np.vstack([family.G, family.G[:1]]), "Z": family.Z[:, :-1]}[block]
-    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-        _decide(check, replace(family, **{block: bad}), problem.known)
-
-
 def test_a_built_family_cannot_be_edited_under_its_factorization():
     for problem in (fixture_problem("scalar"), fixture_problem("scalar").without_a3()):
         family = compatible_set(problem)

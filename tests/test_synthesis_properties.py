@@ -8,6 +8,8 @@ each trajectory of a linear system, so the verdict stays; the gains may
 move, because the Riccati design weighs the right-inverse with a unit
 weight that does not scale with the data.  Every regulator synthesized
 along the way must pass verification over its whole compatible family.
+Adding samples or giving the coupling A3 can only shrink the family, so
+neither takes informativity away.
 """
 
 import numpy as np
@@ -30,7 +32,13 @@ from ddreg import (
 )
 from ddreg.model import rank_from_singular_values
 
-from _instances import BADLY_SCALED, coupling_free_instance, regulable_instance, scaled_experiment
+from _instances import (
+    BADLY_SCALED,
+    coupling_free_instance,
+    ladder_problems,
+    regulable_instance,
+    scaled_experiment,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -179,3 +187,67 @@ def test_a_singular_operator_is_named_for_what_was_measured(args):
     )
     with pytest.raises(SingularOperatorError, match=message):
         verify_regulator(result.regulator, family, problem.known)
+
+
+def _decisions():
+    """(problem, decide) of 238 decisions.
+
+    The regulable instances 0-99 and the ladder are decided in both
+    coupling modes, the coupling-free instances 0-19 with it unknown.
+    """
+    for seed in range(100):
+        problem = regulable_instance(seed).problem
+        yield problem, synthesize
+        yield problem, synthesize_unknown_a3
+    for seed in range(20):
+        yield coupling_free_instance(seed).problem, synthesize_unknown_a3
+    for _, problem in ladder_problems():
+        yield problem, synthesize
+        yield problem, synthesize_unknown_a3
+
+
+def _prefix(problem, tau):
+    data = problem.data
+    return build_problem(
+        ProblemData(data.U_minus[:, :tau], data.X1_minus[:, :tau], data.X2[:, : tau + 1]),
+        problem.known,
+    )
+
+
+def test_once_a_prefix_is_informative_every_longer_prefix_is():
+    # A system consistent with the run is consistent with each prefix, so
+    # the family shrinks as samples are added.
+    prefixes = 0
+    for problem, decide in _decisions():
+        verdicts = [
+            decide(_prefix(problem, tau)).regulator is not None
+            for tau in range(1, problem.tau + 1)
+        ]
+        assert verdicts == sorted(verdicts), verdicts
+        prefixes += len(verdicts)
+    assert prefixes == 1401
+
+
+def test_informative_with_the_coupling_withheld_implies_informative_with_it_known():
+    # Giving A3 can only shrink the family; 33 of the 100 are informative
+    # with it withheld.
+    withheld = 0
+    for seed in range(100):
+        problem = regulable_instance(seed).problem
+        if synthesize_unknown_a3(problem).regulator is not None:
+            withheld += 1
+            assert synthesize(problem).regulator is not None, seed
+    assert withheld > 0
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-10])
+def test_a_perturbation_of_x2_below_the_tolerance_keeps_the_decision(eps):
+    # Two or more decades below RESIDUAL_RTOL: no verdict or chosen
+    # condition moves, and no perturbed run is refused as inconsistent.
+    rng = np.random.default_rng(0)
+    for problem, decide in _decisions():
+        data = problem.data
+        X2 = data.X2 * (1.0 + eps * rng.standard_normal(data.X2.shape))
+        moved = build_problem(ProblemData(data.U_minus, data.X1_minus, X2), problem.known)
+        chosen = decide(problem).report.chosen_condition
+        assert decide(moved).report.chosen_condition == chosen
