@@ -89,15 +89,21 @@ def require_shape(name: str, arr: np.ndarray, *dims: tuple) -> None:
                 break
         else:
             return
-    expected = tuple(got if dim[1] is None else dim[1] for got, dim in zip(arr.shape, dims))
+    # An axis that arr lacks shows its label when its size is free.
+    shape = arr.shape + (None,) * (len(dims) - arr.ndim)
+    sizes = [
+        (dim[0] if got is None else got) if dim[1] is None else dim[1]
+        for got, dim in zip(shape, dims)
+    ]
+    expected = ", ".join(map(str, sizes)) + ("," if len(sizes) == 1 else "")
     labels = ", ".join(dim[0] for dim in dims)
     sources = ", ".join(dict.fromkeys(
         f"{dim[0]} is read from {dim[2]}"
-        for got, dim in zip(arr.shape, dims)
+        for got, dim in zip(shape, dims)
         if dim[2:] and dim[2] != name and dim[1] not in (None, got)
     ))
     raise DimensionError(
-        f"{name} must have shape ({labels}) = {expected}, got {arr.shape}"
+        f"{name} must have shape ({labels}) = ({expected}), got {arr.shape}"
         + (f"; {sources}" if sources else "")
     )
 
@@ -318,6 +324,9 @@ def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
     return Problem(data=data, known=known)
 
 
+_BLOCKS = ("A2_part", "B2_part", "A3_part", "S1", "S2", "S3", "G", "Z")
+
+
 @dataclass(frozen=True, eq=False)
 class CompatibleSet:
     """Affine family of endosystems (A2, B2, A3) matching the data.
@@ -330,11 +339,15 @@ class CompatibleSet:
     the endosystem uniquely.  The members solve M G = Z, with
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
-    built the family is kept for the conditions, and G and Z are read-only.
-    The conditions and verification decide on these fields alone.  Made
-    by any route, the family checks each block against the n2, m, n1, r
-    and tau read from A2_part, B2_part, A3_part, S1 and G; DimensionError
-    names the first block that misfits and the block its size is read from.
+    built the family is kept for the conditions.  The family states its
+    layout: X2_minus, U_minus and X1_minus are the row blocks of G, and
+    X1_minus is None exactly when the coupling is known, the one rule
+    for the coupling mode.  The conditions and verification decide on
+    these fields alone.  The constructor and dataclasses.replace convert
+    the eight matrix blocks as every container does and check each
+    against the n2, m, n1, r and tau read from A2_part, B2_part, A3_part,
+    S1 and G; DimensionError names the first block that misfits and the
+    block its size is read from.  Every block is read-only.
     """
 
     A2_part: np.ndarray
@@ -348,9 +361,10 @@ class CompatibleSet:
     Z: np.ndarray
 
     def __post_init__(self):
+        _assign(self, **{name: _as_matrix(name, getattr(self, name)) for name in _BLOCKS})
+
         def dim(label, name, axis):
-            arr = getattr(self, name)
-            return (label, arr.shape[axis] if arr.ndim == 2 else None, name)
+            return (label, getattr(self, name).shape[axis], name)
 
         n2, m = dim("n2", "A2_part", 0), dim("m", "B2_part", 1)
         n1, r = dim("n1", "A3_part", 1), dim("r", "S1", 1)
@@ -358,10 +372,19 @@ class CompatibleSet:
         for name, rows, cols in (*blocks, ("S2", m, r), ("S3", n1, r)):
             require_shape(name, getattr(self, name), rows, cols)
         rows = n2[1] + m[1]
-        unknown = self.G.shape[:1] == (rows + n1[1],)
+        unknown = self.G.shape[0] == rows + n1[1]
         height = ("n2+m+n1", rows + n1[1]) if unknown else ("n2+m", rows)
         require_shape("G", self.G, height, ("tau", None))
         require_shape("Z", self.Z, n2, dim("tau", "G", 1))
+
+    @classmethod
+    def _of(cls, residual: float, svd: tuple, **blocks: np.ndarray) -> CompatibleSet:
+        """A family of compatible_set's own blocks, which fit by construction, made read-only."""
+        family = object.__new__(cls)
+        for arr in blocks.values():
+            arr.flags.writeable = False
+        _assign(family, residual=residual, _svd=svd, **blocks)
+        return family
 
     @property
     def r(self) -> int:
@@ -370,6 +393,24 @@ class CompatibleSet:
     @property
     def n2(self) -> int:
         return self.A2_part.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B2_part.shape[1]
+
+    @property
+    def X2_minus(self) -> np.ndarray:
+        return self.G[: self.n2]
+
+    @property
+    def U_minus(self) -> np.ndarray:
+        return self.G[self.n2 : self.n2 + self.m]
+
+    @property
+    def X1_minus(self) -> np.ndarray | None:
+        """The rows of G below U_minus; None under known coupling, and so when n1 = 0."""
+        rows = self.n2 + self.m
+        return self.G[rows:] if self.G.shape[0] > rows else None
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -424,13 +465,10 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
         A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
     else:
         A3_part, S3 = known.A3, np.zeros((data.n1, S.shape[1]))
-    family = CompatibleSet(
-        A2_part=M[:, :n2], B2_part=M[:, n2 : n2 + m], A3_part=A3_part,
-        S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, residual=residual, G=G, Z=Z,
+    return CompatibleSet._of(
+        residual, svd, A2_part=M[:, :n2], B2_part=M[:, n2 : n2 + m], A3_part=A3_part,
+        S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, G=G, Z=Z,
     )
-    G.flags.writeable = Z.flags.writeable = False  # so _svd cannot go stale
-    _assign(family, _svd=svd)
-    return family
 
 
 def compatible_set(problem: Problem) -> CompatibleSet:

@@ -16,15 +16,15 @@ compatible family, and verify_regulator checks any gain pair against
 the whole family in closed form, by check_output_regulated's solve.
 
 The conditions decide on the compatible family and the known matrices,
-as verify_regulator does, and read no problem: the coupling A3 is
-unknown exactly when the family's regression G stacks X1_minus under
-[X2_minus; U_minus], and the known matrices' A3 is not read.  The
-family then ranges over (A2, B2, A3) triples, the right-inverse must
-also satisfy X1_minus Theta = 0 so the certified closed loop
-X2_plus X^dagger does not depend on the coupling, and X1_minus W = I
-appends I to [T; V], so S3 enters the kernel rows; the equations keep
-A3_part.  synthesize requires A3; synthesize_unknown_a3 drops any
-provided A3 and runs the same path.
+as verify_regulator does, and read no problem.  The family states its
+data blocks and its coupling mode (CompatibleSet.X1_minus is None
+exactly when A3 is known), and all three checks decide the
+right-inverse through one shared step.  Under unknown coupling the
+family ranges over (A2, B2, A3) triples, the right-inverse must also
+satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
+does not depend on the coupling, and X1_minus W = I appends I to
+[T; V], so S3 enters the kernel rows; the equations keep A3_part.
+synthesize requires A3; synthesize_unknown_a3 drops any provided A3.
 
 The decision is a function of the problem alone: it draws no random
 numbers and takes no settings.  Both routes are exact, so trying
@@ -116,20 +116,13 @@ def _require_fit(name: str, family: CompatibleSet, known: KnownMatrices) -> None
     require_shape(f"{name}.A3_part", family.A3_part, n2, ("n1", known.n1, "known.A1"))
 
 
-def _regression(family: CompatibleSet) -> tuple:
-    """(X2_minus, U_minus, coupling), the row blocks of family.G; coupling is (X1_minus,) or ()."""
-    G, n2, rows = family.G, family.n2, family.n2 + family.B2_part.shape[1]
-    unknown = G.shape[0] == rows + family.A3_part.shape[1]
-    return G[:n2], G[n2:rows], (G[rows:],) if unknown else ()
-
-
 def _rank_x2_minus(family: CompatibleSet) -> int:
     # X2_minus is a block of rows of G, so sigma_min(X2_minus) >=
     # sigma_min(G) > tol(G) >= tol(X2_minus) when G has full row rank
     # (r = 0): its rank is n2 without a second SVD.
     if not family.r:
         return family.n2
-    X = family.G[: family.n2]
+    X = family.X2_minus
     return rank_from_singular_values(np.linalg.svd(X, compute_uv=False), X.shape)
 
 
@@ -166,20 +159,30 @@ def w_residual(problem: Problem, W) -> float:
     return float(np.linalg.norm(lhs @ vec(W) - rhs))
 
 
+def _right_inverse(family: CompatibleSet, *constraints) -> tuple[LmiSolution, np.ndarray | None]:
+    """The right-inverse decision the three checks share, with K2 = U_minus X^dagger.
+
+    X^dagger is a right-inverse of X2_minus that makes Z X^dagger stable,
+    with C X^dagger = 0 for each constraint and, under unknown coupling,
+    for X1_minus; K2 is None when none is found.
+    """
+    coupling = () if family.X1_minus is None else (family.X1_minus,)
+    lmi = solve_lmi(LmiProblem._of(family.X2_minus, family.Z, (*constraints, *coupling)))
+    return lmi, family.U_minus @ lmi.X_dagger if lmi.found else None
+
+
 def check_endo_stabilization(family: CompatibleSet) -> EndoStabilization:
     """Decide whether the data pin down one stabilizing state feedback.
 
     Informative iff X2_minus has full row rank and some right-inverse
     makes the data-defined closed loop stable; K2 = U_minus X^dagger then
     stabilizes every compatible member.  The certificate must reach
-    LmiProblem.margin.  The data are the row blocks of family.G, whose
-    row count gives the coupling mode.
+    LmiProblem.margin; the decision is the one the conditions share.
     """
-    X2_minus, U_minus, coupling = _regression(family)
-    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
+    lmi, K2 = _right_inverse(family)
     return EndoStabilization(
         informative=lmi.found,
-        K2=U_minus @ lmi.X_dagger if lmi.found else None,
+        K2=K2,
         X_dagger=lmi.X_dagger,
         lmi=lmi,
         rank_X2_minus=_rank_x2_minus(family),
@@ -192,8 +195,8 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
     )
 
 
-def _holds(name: str, coupling: tuple, lmi: LmiSolution, diagnostics, **gains) -> ConditionOutcome:
-    provenance = name + ("_unknown_a3" if coupling else "")
+def _holds(name: str, family, lmi: LmiSolution, diagnostics, **gains) -> ConditionOutcome:
+    provenance = name + ("" if family.X1_minus is None else "_unknown_a3")
     regulator = Regulator._of(provenance, **gains, Theta=lmi.Theta, X2_dagger=lmi.X_dagger)
     return ConditionOutcome(holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics)
 
@@ -201,14 +204,12 @@ def _holds(name: str, coupling: tuple, lmi: LmiSolution, diagnostics, **gains) -
 def check_condition1(family: CompatibleSet, known: KnownMatrices) -> ConditionOutcome:
     """Pointwise route: output zeroing by constraint plus E K1 = -D1.
 
-    The right-inverse is constrained so D2 + E K2 vanishes on the data
-    (and, under unknown coupling, so the right-inverse annihilates
-    X1_minus).  The image-inclusion test E K1 = -D1, held to
+    The shared right-inverse decision is constrained so D2 + E K2
+    vanishes on the data.  The image-inclusion test E K1 = -D1, held to
     within_tolerance of ||D1||, runs first; when it already fails the
     right-inverse is not decided.  Raises the errors of check_condition2.
     """
     _require_fit("family", family, known)
-    X2_minus, U_minus, coupling = _regression(family)
     K1, *_ = np.linalg.lstsq(known.E, -known.D1, rcond=None)
     inclusion = float(np.linalg.norm(known.E @ K1 + known.D1))
     diagnostics = {"image_inclusion": inclusion}
@@ -217,15 +218,15 @@ def check_condition1(family: CompatibleSet, known: KnownMatrices) -> ConditionOu
         return _fails(None, diagnostics, reason)
     # An output map that overflows is reported below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        output_map = known.D2 @ X2_minus + known.E @ U_minus
+        output_map = known.D2 @ family.X2_minus + known.E @ family.U_minus
     if not np.isfinite(output_map).all():
         raise NonFiniteError("the output map D2 X2_minus + E U_minus contains non-finite entries")
-    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, (output_map, *coupling)))
+    lmi, K2 = _right_inverse(family, output_map)
     diagnostics["lmi_min_eig"] = lmi.min_eig
     if not lmi.found:
         sought = "stabilizing right-inverse that zeroes the output"
         return _fails(lmi, diagnostics, _lmi_failure(lmi, sought))
-    return _holds("condition1", coupling, lmi, diagnostics, K1=K1, K2=U_minus @ lmi.X_dagger)
+    return _holds("condition1", family, lmi, diagnostics, K1=K1, K2=K2)
 
 
 def check_condition2(family: CompatibleSet, known: KnownMatrices) -> ConditionOutcome:
@@ -238,15 +239,14 @@ def check_condition2(family: CompatibleSet, known: KnownMatrices) -> ConditionOu
     when square, least squares otherwise, and they must hold
     within_tolerance of ||rhs||; K2 = U_minus X^dagger, K1 = V - K2 T,
     and the witness W = G^+ [T; V (; I)] comes from the family's SVD of
-    G.  The data and the coupling mode are read from family.G's row
-    blocks and row count; known supplies A1, D1, D2 and E, and its A3 is
-    not read.  Raises DimensionError naming family.A2_part, B2_part or
-    A3_part when it misfits known, and NonFiniteError when the equations'
-    right-hand side or residual overflows.
+    G.  The data and the coupling mode are the family's; known supplies
+    A1, D1, D2 and E, and its A3 is not read.  Raises DimensionError
+    naming family.A2_part, B2_part or A3_part when it misfits known, and
+    NonFiniteError when the equations' right-hand side or residual
+    overflows.
     """
     _require_fit("family", family, known)
-    X2_minus, U_minus, coupling = _regression(family)
-    lmi = solve_lmi(LmiProblem._of(X2_minus, family.Z, coupling))
+    lmi, K2 = _right_inverse(family)
     # G W = [T; V (; I)] gives the equations of the particular member for
     # Y = [T; V]; when r > 0 the kernel rows keep [T; V (; I)] in im G.
     kernel = (np.hstack([family.S1.T, family.S2.T]), -family.S3.T) if family.r else ()
@@ -260,10 +260,9 @@ def check_condition2(family: CompatibleSet, known: KnownMatrices) -> ConditionOu
         reasons.append(f"regulator equations infeasible (residual {residual:.3e})")
     if reasons:
         return _fails(lmi, diagnostics, *reasons)
-    K2 = U_minus @ lmi.X_dagger
-    G_W = np.vstack([Y, np.eye(known.n1)]) if coupling else Y
+    G_W = Y if family.X1_minus is None else np.vstack([Y, np.eye(known.n1)])
     K1, W = -K2 @ Y[: known.n2] + Y[known.n2 :], family._pinv_apply(G_W)
-    return _holds("condition2", coupling, lmi, diagnostics, K1=K1, K2=K2, W=W)
+    return _holds("condition2", family, lmi, diagnostics, K1=K1, K2=K2, W=W)
 
 
 def _fold(report: SynthesisReport, outcome: ConditionOutcome) -> None:
@@ -281,11 +280,11 @@ def _lmi_failure(lmi: LmiSolution, sought: str) -> str:
     )
 
 
-def _informative(problem, report, name, outcome, family) -> SynthesisResult:
+def _informative(report, name, outcome, family) -> SynthesisResult:
     report.chosen_condition = name
     report.messages.append(
         f"informative for regulator design via {name}"
-        + (" (unknown coupling)" if problem.known.A3 is None else "")
+        + ("" if family.X1_minus is None else " (unknown coupling)")
     )
     return SynthesisResult(regulator=outcome.regulator, report=report, family=family)
 
@@ -305,11 +304,11 @@ def _synthesize(problem: Problem) -> SynthesisResult:
     report.condition2 = second = check_condition2(family, problem.known)
     _fold(report, second)
     if second.holds:
-        return _informative(problem, report, "condition2", second, family)
+        return _informative(report, "condition2", second, family)
     report.condition1 = first = check_condition1(family, problem.known)
     _fold(report, first)
     if first.holds:
-        return _informative(problem, report, "condition1", first, family)
+        return _informative(report, "condition1", first, family)
     report.messages.append("condition2: " + "; ".join(second.reasons))
     report.messages.append("condition1: " + "; ".join(first.reasons))
     report.messages.append("not informative for regulator design")

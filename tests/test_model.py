@@ -259,6 +259,45 @@ def test_no_member_is_drawn_from_a_family_whose_blocks_disagree():
             draw(dataclasses.replace(family, S2=family.S2[:1]))
 
 
+def planar_family():
+    return compatible_set(parse_problem(fixture_text("planar")).problem)
+
+
+def test_a_family_converts_its_blocks_like_every_container():
+    # A list of rows used to end in AttributeError on .ndim.
+    family = planar_family()
+    converted = dataclasses.replace(family, A2_part=family.A2_part.tolist())
+    assert isinstance(converted.A2_part, np.ndarray)
+    assert np.array_equal(converted.A2_part, family.A2_part)
+
+
+@pytest.mark.parametrize("field", model._BLOCKS)
+def test_a_family_with_a_non_finite_block_is_refused(field):
+    # An all-NaN A2_part used to be accepted, and check_condition2 on it
+    # ended in LAPACK's complaints on stderr and an SVD LinAlgError.
+    family = planar_family()
+    nan = np.full_like(getattr(family, field), np.nan)
+    with pytest.raises(NonFiniteError, match=f"^{field} contains non-finite entries$"):
+        dataclasses.replace(family, **{field: nan})
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((("n2", 2), ("n2", 2)), "A2_part must have shape (n2, n2) = (2, 2), got (2,)"),
+        ((("n2", 2), ("tau", None)), "A2_part must have shape (n2, tau) = (2, tau), got (2,)"),
+        (
+            (("n2", 2), ("m", 3, "E")),
+            "A2_part must have shape (n2, m) = (2, 3), got (2,); m is read from E",
+        ),
+    ],
+)
+def test_a_shape_error_writes_every_axis_the_array_lacks(dims, message):
+    # The expected shape used to be cut to the axes the array has: (2,).
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        model.require_shape("A2_part", np.ones(2), *dims)
+
+
 def test_inconsistent_data_raises():
     problem = scalar_problem()
     X2 = problem.data.X2.copy()

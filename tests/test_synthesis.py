@@ -37,6 +37,7 @@ from ddreg import (
     verify_regulator_unknown_a3,
     w_residual,
     w_system,
+    w_system_unknown_a3,
 )
 from ddreg.analysis import _francis, _regulator_system, _solve_regulator, unvec
 from ddreg.examples import EXAMPLE_NAMES, REFERENCE, fixture_text
@@ -692,11 +693,16 @@ def _decide(check, family, known):
 
 
 def test_a_built_family_cannot_be_edited_under_its_factorization():
-    for problem in (fixture_problem("scalar"), fixture_problem("scalar").without_a3()):
-        family = compatible_set(problem)
-        for block in (family.G, family.Z):
+    # However the family was made, every block is read-only: a write used
+    # to change the family that verification reads and, through the G or
+    # Z of a replaced family, leave the kept SVD of G stale.
+    for problem in (fixture_problem("scalar"), fixture_problem("planar")):
+        built = compatible_set(problem)
+        for family in (built, compatible_set_unknown_a3(problem), replace(built)):
+            for name in ddreg.model._BLOCKS:
+                assert not getattr(family, name).flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
-                block[0, 0] = 1.0
+                family.A2_part[0, 0] = 9.0
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -749,6 +755,60 @@ def test_the_conditions_read_the_coupling_mode_from_the_family():
             assert outcome.regulator.provenance == "condition2_unknown_a3"
             held += 1
     assert held == 11
+
+
+@pytest.mark.parametrize("name", ["scalar", "planar", "coupling-free-0"])
+def test_a_family_made_by_hand_factors_g_on_first_use(name):
+    # dataclasses.replace keeps no SVD of G, so condition 2's witness W
+    # comes from the family's own factorization, made on first use; K1,
+    # K2 and W must equal the decided family's bit for bit.
+    if name == "coupling-free-0":
+        problem, synth = coupling_free_instance(0).problem, synthesize_unknown_a3
+    else:
+        problem, synth = fixture_problem(name), synthesize
+    decided = synth(problem).family
+    hand_made = replace(decided)
+    assert "_svd" not in vars(hand_made)
+    outcome = check_condition2(hand_made, problem.known)
+    expected = check_condition2(decided, problem.known)
+    assert _bits(outcome) == _bits(expected)
+    # planar fails the regulator equations, so no witness is formed there.
+    assert outcome.holds == (name != "planar")
+    assert ("_svd" in vars(hand_made)) == outcome.holds
+
+
+@pytest.mark.parametrize("name", ["scalar", "planar"])
+def test_the_unknown_coupling_w_system_is_that_of_the_problem_without_a3(name):
+    problem = fixture_problem(name)
+    for got, want in zip(w_system_unknown_a3(problem), w_system(problem.without_a3())):
+        assert np.array_equal(got, want)
+
+
+def no_exosystem_problem():
+    """A known-coupling problem with n1 = 0, informative via condition 2."""
+    A2, B2 = np.array([[1.2, 0.3], [0.0, 0.5]]), np.array([[1.0], [0.5]])
+    U = np.array([[0.3, -1.1, 0.7, 0.2]])
+    X2 = np.zeros((2, 5))
+    X2[:, 0] = [1.0, -1.0]
+    for t in range(4):
+        X2[:, t + 1] = A2 @ X2[:, t] + B2 @ U[:, t]
+    data = ProblemData(U_minus=U, X1_minus=np.zeros((0, 4)), X2=X2)
+    known = KnownMatrices(
+        A1=np.zeros((0, 0)), A3=np.zeros((2, 0)), D1=np.zeros((1, 0)), D2=[[1.0, 0.0]], E=[[0.0]]
+    )
+    return build_problem(data, known)
+
+
+@pytest.mark.parametrize("synth", [synthesize, synthesize_unknown_a3])
+def test_without_an_exosystem_both_entry_points_report_known_coupling(synth):
+    # With n1 = 0 there is no coupling to withhold.  The report's line
+    # used to follow the known matrices' A3 and the provenance the row
+    # count of G, so synthesize said known coupling and its regulator
+    # said unknown.
+    result = synth(no_exosystem_problem())
+    assert result.family.X1_minus is None
+    assert result.report.messages == ["informative for regulator design via condition2"]
+    assert result.regulator.provenance == "condition2"
 
 
 @pytest.mark.parametrize(
