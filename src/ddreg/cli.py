@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import spectral_info
 from .examples import EXAMPLE_NAMES, REFERENCE, fixture_text
 from .fileio import (
     ProblemFileError,
@@ -35,7 +34,7 @@ from .fileio import (
     write_trajectories_csv,
     _atomic_write_text,
 )
-from .model import build_problem, compatible_set, require_shape
+from .model import _made, _spectrum, build_problem, compatible_set, require_shape
 from .simulation import (
     MAX_RADIUS,
     TrueSystem,
@@ -205,10 +204,10 @@ def _simulate_members(members, known, regulator, rho_bound, x1_0, x2_0, horizon,
     def blocks():
         # Simulated one member at a time, as the CSV writer asks for it.
         for index, (A2, B2, A3) in enumerate(members):
-            system = TrueSystem(A1=known.A1, A2=A2, B2=B2, A3=A3)
+            system = _made(TrueSystem, A1=known.A1, A2=A2, B2=B2, A3=A3)
             trajectory = closed_loop_sim(system, known, regulator, x1_0, x2_0, horizon)
             result = decay_check(trajectory, rho_bound)
-            radius = spectral_info(A2 + B2 @ regulator.K2).spectral_radius
+            radius = _spectrum(A2 + B2 @ regulator.K2).spectral_radius
             verdict = "PASS" if result.passes else "FAIL"
             print(
                 f"member {index}: radius={radius:.6f} decay={verdict} "

@@ -1,14 +1,15 @@
 """Problem, regulator, system and trajectory file handling.
 
 Problem, regulator and system files are JSON with named matrix fields
-stored as arrays of row arrays; numbers round-trip at full double
-precision.  Every matrix is validated by the model type it builds, and
-every error a file causes, from reading it to validating its matrices,
-leaves through naming(), so its message starts with the file it came
-from.  Writes are atomic (temp file then rename), and an error while
-writing names the path written.  Regulator files carry the tool version
-and the SHA-256 of the problem file they were produced from, so a later
-simulation can flag mismatched inputs.
+stored as arrays of row arrays; an empty array, which is how a problem
+with n1 = 0 writes A1 and X1_minus, is a matrix with no rows.  Numbers
+round-trip at full double precision.  Every matrix is validated by the
+model type it builds, and every error a file causes, from reading it to
+validating its matrices, leaves through naming(), so its message starts
+with the file it came from.  Writes are atomic (temp file then rename),
+and an error while writing names the path written.  Regulator files
+carry the tool version and the SHA-256 of the problem file they were
+produced from, so a later simulation can flag mismatched inputs.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def _matrix_field(doc: dict, key: str, required: bool = True):
             raise ValueError(f"missing matrix field {key!r}")
         return None
     value = doc[key]
+    if value == []:  # no rows; parse_problem widens the data blocks to tau
+        return np.empty((0, 0))
     if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
         raise ValueError(f"field {key!r} must be an array of row arrays")
     widths = {len(r) for r in value}
@@ -187,6 +190,9 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemDocument:
             key: _matrix_field(doc, key, required=(key != "A3"))
             for key in _KNOWN_MATRICES + _DATA_MATRICES
         }
+        for key in ("U_minus", "X1_minus"):
+            if fields[key].shape == (0, 0):  # m = 0 or n1 = 0: as wide as X2_plus
+                fields[key] = fields["X2"][:0, 1:]
         data = ProblemData(**{key: fields[key] for key in _DATA_MATRICES})
         known = KnownMatrices(**{key: fields[key] for key in _KNOWN_MATRICES})
         problem = build_problem(data, known)

@@ -98,13 +98,6 @@ class LmiProblem:
         )
         _assign(self, X=X, Z=_as_matrix("Z", self.Z, n, tau), equality_constraints=constraints)
 
-    @classmethod
-    def _of(cls, X: np.ndarray, Z: np.ndarray, equality_constraints: tuple) -> LmiProblem:
-        """An instance of matrices the caller has checked, taken without conversion or copy."""
-        problem = object.__new__(cls)
-        _assign(problem, X=X, Z=Z, equality_constraints=equality_constraints)
-        return problem
-
     @property
     def n(self) -> int:
         return self.X.shape[0]

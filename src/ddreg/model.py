@@ -14,7 +14,6 @@ no function takes as a parameter.  Nothing writes to a built Problem.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -133,9 +132,22 @@ def _as_matrix(name: str, value, *dims: tuple) -> np.ndarray:
 
 
 def _assign(obj, **fields) -> None:
-    """Set attributes of a frozen dataclass, from its __post_init__ or a builder."""
+    """Set attributes of a frozen dataclass, from its __post_init__ or from _made."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
+
+
+def _made(cls, **fields):
+    """An instance of cls of parts the program made and checked, which fit by construction.
+
+    No conversion, copy or __post_init__; every array field is made read-only.
+    """
+    obj = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    _assign(obj, **fields)
+    return obj
 
 
 def _as_square(name: str, value, label: str) -> tuple[np.ndarray, tuple]:
@@ -311,12 +323,11 @@ class Problem:
     def without_a3(self) -> Problem:
         """The same data and known matrices with the coupling A3 unknown.
 
-        The known matrices are copied as they were checked; dropping A3
-        cannot invalidate the rest.
+        Dropping A3 cannot invalidate the rest: both are built with _made
+        from the checked parts, and nothing is converted or checked again.
         """
-        known = copy.copy(self.known)
-        _assign(known, A3=None)
-        return Problem(data=self.data, known=known)
+        known = _made(KnownMatrices, **{**vars(self.known), "A3": None})
+        return _made(Problem, data=self.data, known=known)
 
 
 def build_problem(data: ProblemData, known: KnownMatrices) -> Problem:
@@ -343,11 +354,12 @@ class CompatibleSet:
     layout: X2_minus, U_minus and X1_minus are the row blocks of G, and
     X1_minus is None exactly when the coupling is known, the one rule
     for the coupling mode.  The conditions and verification decide on
-    these fields alone.  The constructor and dataclasses.replace convert
-    the eight matrix blocks as every container does and check each
-    against the n2, m, n1, r and tau read from A2_part, B2_part, A3_part,
-    S1 and G; DimensionError names the first block that misfits and the
-    block its size is read from.  Every block is read-only.
+    these fields alone.  compatible_set builds it with _made; the
+    constructor and dataclasses.replace convert the eight matrix blocks
+    as every container does and check each against the n2, m, n1, r and
+    tau read from A2_part, B2_part, A3_part, S1 and G; DimensionError
+    names the first block that misfits and the block its size is read
+    from.  Every block is read-only.
     """
 
     A2_part: np.ndarray
@@ -376,15 +388,6 @@ class CompatibleSet:
         height = ("n2+m+n1", rows + n1[1]) if unknown else ("n2+m", rows)
         require_shape("G", self.G, height, ("tau", None))
         require_shape("Z", self.Z, n2, dim("tau", "G", 1))
-
-    @classmethod
-    def _of(cls, residual: float, svd: tuple, **blocks: np.ndarray) -> CompatibleSet:
-        """A family of compatible_set's own blocks, which fit by construction, made read-only."""
-        family = object.__new__(cls)
-        for arr in blocks.values():
-            arr.flags.writeable = False
-        _assign(family, residual=residual, _svd=svd, **blocks)
-        return family
 
     @property
     def r(self) -> int:
@@ -465,9 +468,10 @@ def _compatible_set(problem: Problem) -> CompatibleSet:
         A3_part, S3 = M[:, n2 + m :], S[n2 + m :]
     else:
         A3_part, S3 = known.A3, np.zeros((data.n1, S.shape[1]))
-    return CompatibleSet._of(
-        residual, svd, A2_part=M[:, :n2], B2_part=M[:, n2 : n2 + m], A3_part=A3_part,
-        S1=S[:n2], S2=S[n2 : n2 + m], S3=S3, G=G, Z=Z,
+    return _made(
+        CompatibleSet, residual=residual, _svd=svd, A2_part=M[:, :n2],
+        B2_part=M[:, n2 : n2 + m], A3_part=A3_part, S1=S[:n2], S2=S[n2 : n2 + m],
+        S3=S3, G=G, Z=Z,
     )
 
 
@@ -522,22 +526,6 @@ class Regulator:
         _assign(self, K1=K1, K2=_as_matrix("K2", self.K2, ("m", K1.shape[0], "K1"), ("n2", None)))
         witnesses = {name: getattr(self, name) for name in ("W", "Theta", "X2_dagger")}
         _assign(self, **{k: _as_matrix(k, v) for k, v in witnesses.items() if v is not None})
-
-    @classmethod
-    def _of(cls, provenance: str, **matrices: np.ndarray) -> Regulator:
-        """A regulator of the decision's own float matrices, taken without conversion or copy.
-
-        Their shapes fit by construction.  Each is checked finite, so gains
-        that overflow still raise NonFiniteError, and is made read-only.
-        """
-        regulator = object.__new__(cls)
-        _assign(regulator, provenance=provenance, W=None, Theta=None, X2_dagger=None)
-        for name, arr in matrices.items():
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"{name} contains non-finite entries")
-            arr.flags.writeable = False
-        _assign(regulator, **matrices)
-        return regulator
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .model import (
     _as_real,
     _as_square,
     _assign,
+    _made,
     member_at,
     require_shape,
 )
@@ -143,7 +144,7 @@ def generate_data(system: TrueSystem, x1_0, x2_0, inputs) -> ProblemData:
             f"the simulated state is not finite from step {int(np.argmin(finite))} "
             f"of {tau}: the system diverges past double precision"
         )
-    return ProblemData(U_minus=U, X1_minus=X1, X2=X2)
+    return _made(ProblemData, U_minus=U, X1_minus=X1, X2=X2)
 
 
 def closed_loop_sim(

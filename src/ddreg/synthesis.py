@@ -50,6 +50,7 @@ from .model import (
     Regulator,
     SynthesisReport,
     _as_matrix,
+    _made,
     _spectrum,
     _stack,
     compatible_set,
@@ -166,8 +167,9 @@ def _right_inverse(family: CompatibleSet, *constraints) -> tuple[LmiSolution, np
     with C X^dagger = 0 for each constraint and, under unknown coupling,
     for X1_minus; K2 is None when none is found.
     """
-    coupling = () if family.X1_minus is None else (family.X1_minus,)
-    lmi = solve_lmi(LmiProblem._of(family.X2_minus, family.Z, (*constraints, *coupling)))
+    constraints += () if family.X1_minus is None else (family.X1_minus,)
+    problem = _made(LmiProblem, X=family.X2_minus, Z=family.Z, equality_constraints=constraints)
+    lmi = solve_lmi(problem)
     return lmi, family.U_minus @ lmi.X_dagger if lmi.found else None
 
 
@@ -196,8 +198,12 @@ def _fails(lmi: LmiSolution | None, diagnostics, *reasons: str) -> ConditionOutc
 
 
 def _holds(name: str, family, lmi: LmiSolution, diagnostics, **gains) -> ConditionOutcome:
+    matrices = {**gains, "Theta": lmi.Theta, "X2_dagger": lmi.X_dagger}
+    for key, arr in matrices.items():
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{key} contains non-finite entries")
     provenance = name + ("" if family.X1_minus is None else "_unknown_a3")
-    regulator = Regulator._of(provenance, **gains, Theta=lmi.Theta, X2_dagger=lmi.X_dagger)
+    regulator = _made(Regulator, provenance=provenance, **{"W": None, **matrices})
     return ConditionOutcome(holds=True, regulator=regulator, lmi=lmi, diagnostics=diagnostics)
 
 

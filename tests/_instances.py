@@ -279,6 +279,21 @@ def inconsistent_problem() -> Problem:
     return build_problem(data, known)
 
 
+def no_exosystem_problem() -> Problem:
+    """A known-coupling problem with n1 = 0, informative via condition 2."""
+    A2, B2 = np.array([[1.2, 0.3], [0.0, 0.5]]), np.array([[1.0], [0.5]])
+    U = np.array([[0.3, -1.1, 0.7, 0.2]])
+    X2 = np.zeros((2, 5))
+    X2[:, 0] = [1.0, -1.0]
+    for t in range(4):
+        X2[:, t + 1] = A2 @ X2[:, t] + B2 @ U[:, t]
+    data = ProblemData(U_minus=U, X1_minus=np.zeros((0, 4)), X2=X2)
+    known = KnownMatrices(
+        A1=np.zeros((0, 0)), A3=np.zeros((2, 0)), D1=np.zeros((1, 0)), D2=[[1.0, 0.0]], E=[[0.0]]
+    )
+    return build_problem(data, known)
+
+
 # Planar fixture: m = 1, n1 = 3, n2 = 2.  Each case gives the named gain
 # the wrong shape; with m + 1 rows both gains change and K1 is named.
 WRONG_GAIN_SHAPES = [("K1", (1, 1)), ("K1", (1, 4)), ("K2", (1, 1)), ("K2", (1, 3)), ("K1", (2, 3))]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from _instances import (
     WRONG_GAIN_SHAPES,
     coupling_free_instance,
     inconsistent_problem,
+    no_exosystem_problem,
     regulable_instance,
     scale_instance,
     scaled_experiment,
@@ -347,6 +349,74 @@ def test_each_command_builds_the_family_once(argv, tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert len(builds) == 1
     assert len(verifications) == 1
+
+
+_READ = ("A1", "A3", "D1", "D2", "E", "U_minus", "X1_minus", "X2")
+_PER_MEMBER = ("N", "x1_0", "x2_0")
+
+
+@pytest.mark.parametrize(
+    "argv, read, members",
+    [
+        (["check", "planar"], _READ, 0),
+        (["synth", "planar", "-o", "regulator.json"], _READ, 0),
+        (
+            ["simulate", "planar", "planar_regulator.json"],
+            _READ + ("K1", "K2", "Theta", "X2_dagger"),
+            4,
+        ),
+        (["example", "planar"], _READ, 4),
+    ],
+)
+def test_each_command_converts_each_matrix_once_where_it_enters(
+    argv, read, members, tmp_path, monkeypatch, capsys
+):
+    # The matrices a command reads are converted once.  A drawn member
+    # converts only its kernel coordinate N and the initial states; the
+    # member and its closed loop are built from what the program made.
+    (tmp_path / "planar").write_text(fixture_text("planar"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "planar", "-o", "planar_regulator.json"]) == 0
+    conversions, convert = [], ddreg.model._as_matrix
+
+    def counting(name, *args):
+        conversions.append(name)
+        return convert(name, *args)
+
+    for module in (ddreg.model, ddreg.analysis, ddreg.lmi, ddreg.synthesis, ddreg.simulation):
+        if hasattr(module, "_as_matrix"):
+            monkeypatch.setattr(module, "_as_matrix", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert Counter(conversions) == Counter(read + _PER_MEMBER * members)
+
+
+def test_a_problem_without_an_exosystem_is_checked_from_its_file(tmp_path, capsys):
+    # save_problem writes A1 and X1_minus of an n1 = 0 problem as empty
+    # row lists, which the file reader used to refuse.
+    path = tmp_path / "no_exosystem.json"
+    save_problem(path, no_exosystem_problem())
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "informative for regulator design via condition2\n" in out
+    assert "verification over the whole family (r=0): PASS" in out
+
+
+EXOSYSTEM_FREE_SYSTEM = {
+    "A1": [], "A2": [[1.2, 0.3], [0, 0.5]], "B2": [[1], [0.5]], "A3": [[], []],
+    "D1": [[]], "D2": [[1, 0]], "E": [[0]],
+}
+
+
+def test_gen_data_collects_a_problem_without_an_exosystem(tmp_path, capsys):
+    system_path, out_path = tmp_path / "system.json", tmp_path / "p.json"
+    system_path.write_text(json.dumps(EXOSYSTEM_FREE_SYSTEM))
+    argv = ["gen-data", str(system_path), "-o", str(out_path), "--tau", "5", "--seed", "1"]
+    assert main(argv) == 0
+    assert load_problem(out_path).problem.n1 == 0
+    capsys.readouterr()
+    assert main(["check", str(out_path)]) == 0
+    assert "informative for regulator design via condition2\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])
@@ -703,6 +773,12 @@ def test_overflowing_samples_exit_one_without_a_warning(scale, tmp_path, capsys)
     assert "informative" not in captured.out
 
 
+def test_an_unknown_fixture_name_is_refused_naming_the_bundled_ones():
+    expected = r"^unknown example 'circle', expected one of \('scalar', 'planar'\)$"
+    with pytest.raises(ValueError, match=expected):
+        fixture_text("circle")
+
+
 def test_example_commands_run_end_to_end(tmp_path, capsys):
     for name in ("scalar", "planar"):
         outdir = tmp_path / name
@@ -877,6 +953,24 @@ def test_bad_gen_data_flags_exit_one_naming_the_flag(flag, value, system_path, t
     assert f"argument {flag}:" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, form",
+    [
+        ("simulate", "--x1-0", "a,b", "must be comma-separated numbers, got 'a,b'"),
+        ("gen-data", "--inputs", "1,x",
+         "must be rows of comma-separated numbers joined by ';', got '1,x'"),
+    ],
+)
+def test_a_flag_that_is_not_numbers_exits_one_naming_the_expected_form(
+    command, flag, value, form, capsys
+):
+    files = ["p.json", "r.json"] if command == "simulate" else ["s.json", "-o", "p.json"]
+    assert main([command, *files, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"ddreg {command}: error: argument {flag}: {form}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from ddreg.fileio import (
     write_trajectories_csv,
 )
 
-from _instances import regulable_instance
+from _instances import no_exosystem_problem, regulable_instance
 
 
 def test_problem_round_trip_is_exact():
@@ -55,6 +55,22 @@ def test_problem_round_trip_preserves_missing_coupling():
     )
     parsed = parse_problem(problem_to_text(stripped)).problem
     assert parsed.known.A3 is None
+
+
+def test_a_problem_without_an_exosystem_reads_back_bitwise(tmp_path):
+    # With n1 = 0, A1 and X1_minus are written as empty row lists; they
+    # used to be refused as "not an array of row arrays".
+    problem = no_exosystem_problem()
+    path = tmp_path / "no_exosystem.json"
+    save_problem(path, problem)
+    parsed = load_problem(path).problem
+    for part in ("data", "known"):
+        for key, value in vars(getattr(problem, part)).items():
+            got = vars(getattr(parsed, part))[key]
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
+            else:
+                assert got == value, key
 
 
 def test_save_problem_returns_the_loaded_hash(tmp_path):
@@ -88,6 +104,36 @@ def test_parse_problem_rejects_wrong_declared_dims():
 def test_parse_problem_names_a_non_integer_dim(value):
     text = fixture_text("scalar").replace('"tau": 3', f'"tau": {value}')
     with pytest.raises(ProblemFileError, match=r"^<string>: dims.tau must be an integer"):
+        parse_problem(text)
+
+
+SCALAR_DIMS = '"dims": {"n1": 3, "n2": 1, "m": 1, "p": 1, "tau": 3}'
+
+
+def test_parse_problem_refuses_a_top_level_array():
+    with pytest.raises(ProblemFileError, match=r"^<string>: top level must be a JSON object$"):
+        parse_problem("[" + fixture_text("scalar") + "]")
+
+
+@pytest.mark.parametrize(
+    "dims", ['"dims": {"n1": 3, "n2": 1, "m": 1, "p": 1}', '"dims": null', '"no_dims": 0']
+)
+def test_parse_problem_checks_only_the_declared_dims(dims):
+    assert SCALAR_DIMS in fixture_text("scalar")
+    problem = parse_problem(fixture_text("scalar").replace(SCALAR_DIMS, dims)).problem
+    assert (problem.n1, problem.n2, problem.m, problem.p, problem.tau) == (3, 1, 1, 1, 3)
+
+
+def test_parse_problem_checks_the_declared_dims_that_remain():
+    text = fixture_text("scalar").replace(SCALAR_DIMS, '"dims": {"n2": 2}')
+    with pytest.raises(ProblemFileError, match=r"^<string>: dims.n2 = 2 but the matrices imply 1$"):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize("value", ["[3, 1, 1, 1, 3]", '"n1=3"', "3"])
+def test_parse_problem_refuses_dims_that_are_not_an_object(value):
+    text = fixture_text("scalar").replace(SCALAR_DIMS, f'"dims": {value}')
+    with pytest.raises(ProblemFileError, match=r"^<string>: field 'dims' must be an object$"):
         parse_problem(text)
 
 

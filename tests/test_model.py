@@ -25,7 +25,7 @@ from ddreg import (
 from ddreg import analysis, lmi, model, simulation
 from ddreg.examples import fixture_text
 from ddreg.fileio import parse_problem
-from ddreg.model import RESIDUAL_RTOL, within_tolerance
+from ddreg.model import RESIDUAL_RTOL, rank_from_singular_values, within_tolerance
 
 from _instances import coupling_free_instance, inconsistent_problem, regulable_instance
 
@@ -150,20 +150,28 @@ def test_arrays_are_read_only():
 
 def test_without_a3_keeps_the_checked_known_matrices(monkeypatch):
     problem = regulable_instance(0).problem
-    conversions = []
-    convert = model._as_matrix
+    calls = []
 
-    def counting(name, *args):
-        conversions.append(name)
-        return convert(name, *args)
+    def counting(function):
+        def counted(name, *args):
+            calls.append((function.__name__, name))
+            return function(name, *args)
+        return counted
 
-    monkeypatch.setattr(model, "_as_matrix", counting)
+    monkeypatch.setattr(model, "_as_matrix", counting(model._as_matrix))
+    monkeypatch.setattr(model, "require_shape", counting(model.require_shape))
     withheld = problem.without_a3()
-    assert conversions == []
+    assert calls == []
     assert withheld.known.A3 is None and problem.known.A3 is not None
     for name in ("A1", "D1", "D2", "E"):
         assert getattr(withheld.known, name) is getattr(problem.known, name)
     assert withheld.data is problem.data
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 1)])
+def test_a_zero_matrix_has_rank_zero(shape):
+    s = np.linalg.svd(np.zeros(shape), compute_uv=False)
+    assert rank_from_singular_values(s, shape) == 0
 
 
 def test_kernel_basis_is_orthonormal():

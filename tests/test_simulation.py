@@ -101,8 +101,20 @@ def test_closed_loop_columns_are_consistent():
     assert np.allclose(step, trajectory.x2[:, 1:], atol=1e-10)
 
 
+def test_closed_loop_sim_refuses_a_horizon_of_zero_steps():
+    instance = regulable_instance(1)
+    problem = instance.problem
+    regulator = synthesize(problem).regulator
+    with pytest.raises(DimensionError, match=r"^horizon must be at least 1$"):
+        closed_loop_sim(
+            instance.system, problem.known, regulator,
+            np.ones(problem.n1), np.ones(problem.n2), horizon=0,
+        )
+
+
 def test_horizon_for_radius_bounds_and_monotonicity():
     assert horizon_for_radius(0.0) == 20
+    assert horizon_for_radius(-0.05) == horizon_for_radius(-3.0) == 20
     assert horizon_for_radius(0.99) == 500
     assert horizon_for_radius(2.0) == 500
     previous = 0

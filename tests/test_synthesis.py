@@ -49,6 +49,7 @@ from _instances import (
     coupling_free_instance,
     inconsistent_problem,
     ladder_problems,
+    no_exosystem_problem,
     regulable_instance,
     scale_instance,
 )
@@ -426,7 +427,7 @@ def test_the_stein_certificate_certifies_where_s_inverse_misses_the_margin(monke
     # below the margin; the gamma-scaled Stein certificate reaches 3.0e-4.
     (problem,) = [problem for name, problem in ladder_problems(16) if name == "ladder-n16-2"]
     family = compatible_set(problem)
-    lmi = LmiProblem._of(family.G[: family.n2], family.Z, ())
+    lmi = LmiProblem(family.G[: family.n2], family.Z)
     Xp, N = _right_inverses(lmi)
     F, S = _riccati_gain(lmi.Z @ Xp, lmi.Z @ N)
     Theta, min_eig = _certified(lmi, _inverse_certificate, Xp + N @ F, S)
@@ -782,21 +783,6 @@ def test_the_unknown_coupling_w_system_is_that_of_the_problem_without_a3(name):
     problem = fixture_problem(name)
     for got, want in zip(w_system_unknown_a3(problem), w_system(problem.without_a3())):
         assert np.array_equal(got, want)
-
-
-def no_exosystem_problem():
-    """A known-coupling problem with n1 = 0, informative via condition 2."""
-    A2, B2 = np.array([[1.2, 0.3], [0.0, 0.5]]), np.array([[1.0], [0.5]])
-    U = np.array([[0.3, -1.1, 0.7, 0.2]])
-    X2 = np.zeros((2, 5))
-    X2[:, 0] = [1.0, -1.0]
-    for t in range(4):
-        X2[:, t + 1] = A2 @ X2[:, t] + B2 @ U[:, t]
-    data = ProblemData(U_minus=U, X1_minus=np.zeros((0, 4)), X2=X2)
-    known = KnownMatrices(
-        A1=np.zeros((0, 0)), A3=np.zeros((2, 0)), D1=np.zeros((1, 0)), D2=[[1.0, 0.0]], E=[[0.0]]
-    )
-    return build_problem(data, known)
 
 
 @pytest.mark.parametrize("synth", [synthesize, synthesize_unknown_a3])
