@@ -350,16 +350,16 @@ class CompatibleSet:
     the endosystem uniquely.  The members solve M G = Z, with
     G = [X2_minus; U_minus] and Z = X2_plus - A3 X1_minus, or X1_minus
     stacked under G and Z = X2_plus when A3 is None; the SVD of G that
-    built the family is kept for the conditions.  The family states its
-    layout: X2_minus, U_minus and X1_minus are the row blocks of G, and
-    X1_minus is None exactly when the coupling is known, the one rule
-    for the coupling mode.  The conditions and verification decide on
-    these fields alone.  compatible_set builds it with _made; the
-    constructor and dataclasses.replace convert the eight matrix blocks
-    as every container does and check each against the n2, m, n1, r and
-    tau read from A2_part, B2_part, A3_part, S1 and G; DimensionError
-    names the first block that misfits and the block its size is read
-    from.  Every block is read-only.
+    built the family is kept: the three checks decide in its row space.
+    The family states its layout: X2_minus, U_minus and X1_minus are the
+    row blocks of G, and X1_minus is None exactly when the coupling is
+    known, the one rule for the coupling mode.  The conditions and
+    verification decide on these fields alone.  compatible_set builds it
+    with _made; the constructor and dataclasses.replace convert the
+    eight matrix blocks as every container does and check each against
+    the n2, m, n1, r and tau read from A2_part, B2_part, A3_part, S1 and
+    G; DimensionError names the first block that misfits and the block
+    its size is read from.  Every block is read-only.
     """
 
     A2_part: np.ndarray
@@ -427,8 +427,11 @@ class CompatibleSet:
 
 
 def _factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(U, s, Vh[:k], k) of G = U diag(s) Vh, k its rank with the cutoff of lstsq(rcond=None)."""
-    U, s, Vh = np.linalg.svd(G)
+    """(U, s, Vh[:k], k) of G = U diag(s) Vh, k its rank with the cutoff of lstsq(rcond=None).
+
+    U is square, for the kernel; Vh is tau x tau only when G has more rows than columns.
+    """
+    U, s, Vh = np.linalg.svd(G, full_matrices=G.shape[0] > G.shape[1])
     k = rank_from_singular_values(s, G.shape)
     return U, s, Vh[:k].copy(), k
 

@@ -19,12 +19,13 @@ The conditions decide on the compatible family and the known matrices,
 as verify_regulator does, and read no problem.  The family states its
 data blocks and its coupling mode (CompatibleSet.X1_minus is None
 exactly when A3 is known), and all three checks decide the
-right-inverse through one shared step.  Under unknown coupling the
-family ranges over (A2, B2, A3) triples, the right-inverse must also
-satisfy X1_minus Theta = 0 so the certified closed loop X2_plus X^dagger
-does not depend on the coupling, and X1_minus W = I appends I to
-[T; V], so S3 enters the kernel rows; the equations keep A3_part.
-synthesize requires A3; synthesize_unknown_a3 drops any provided A3.
+right-inverse through one shared step in G's row space.  Under unknown
+coupling the family ranges over (A2, B2, A3) triples, the right-inverse
+must also satisfy X1_minus Theta = 0 so the certified closed loop
+X2_plus X^dagger does not depend on the coupling, and X1_minus W = I
+appends I to [T; V], so S3 enters the kernel rows; the equations keep
+A3_part.  synthesize requires A3; synthesize_unknown_a3 drops any
+provided A3.
 
 The decision is a function of the problem alone: it draws no random
 numbers and takes no settings.  Both routes are exact, so trying
@@ -36,7 +37,7 @@ LmiProblem.margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,11 +166,17 @@ def _right_inverse(family: CompatibleSet, *constraints) -> tuple[LmiSolution, np
 
     X^dagger is a right-inverse of X2_minus that makes Z X^dagger stable,
     with C X^dagger = 0 for each constraint and, under unknown coupling,
-    for X1_minus; K2 is None when none is found.
+    for X1_minus; K2 is None when none is found.  It is decided in the row
+    space of G, as X^dagger = V^T X' with V = Vh[:k] of the family's SVD:
+    there Z V^T = M G V^T, so the decision sees the family and not the
+    fit residual, and Theta = V^T Theta' keeps its norm and block margin.
     """
     constraints += () if family.X1_minus is None else (family.X1_minus,)
-    problem = _made(LmiProblem, X=family.X2_minus, Z=family.Z, equality_constraints=constraints)
-    lmi = solve_lmi(problem)
+    V = family._svd[2].T
+    X, Z, *rows = (C @ V for C in (family.X2_minus, family.Z, *constraints))
+    lmi = solve_lmi(_made(LmiProblem, X=X, Z=Z, equality_constraints=tuple(rows)))
+    if lmi.found:
+        lmi = replace(lmi, X_dagger=V @ lmi.X_dagger, Theta=V @ lmi.Theta)
     return lmi, family.U_minus @ lmi.X_dagger if lmi.found else None
 
 

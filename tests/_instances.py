@@ -146,6 +146,40 @@ def scale_instance(n2: int, k: int) -> Instance:
     return Instance(problem=build_problem(data, known), system=system, T=T, V=V)
 
 
+LONG_RUNS = (10, 100, 500, 1000, 2000, 4000)
+
+
+def long_run_instance(tau: int) -> Instance:
+    """The long-run plant L(tau): n2 = 4, m = 2, n1 = 2, p = 1, r = 0.
+
+    A1 is the rotation by 0.3 rad.  From default_rng(7): A2 standard
+    normal scaled to spectral radius 0.9, B2 standard normal, T and V
+    uniform with A3 back-solved, D2 and E uniform with D1 = -(D2 T + E V).
+    Then, for each run of LONG_RUNS shorter than tau and for tau itself,
+    the same generator draws the inputs (2 x tau), x1(0) and x2(0), all
+    uniform in [-1, 1], and the data of the last run are returned.
+    """
+    rng = np.random.default_rng(7)
+    c, s = np.cos(0.3), np.sin(0.3)
+    A1 = np.array([[c, -s], [s, c]])
+    A2 = rng.standard_normal((4, 4))
+    A2 *= 0.9 / np.abs(np.linalg.eigvals(A2)).max()
+    B2 = rng.standard_normal((4, 2))
+    T = rng.uniform(-1.0, 1.0, (4, 2))
+    V = rng.uniform(-1.0, 1.0, (2, 2))
+    A3 = T @ A1 - A2 @ T - B2 @ V
+    D2 = rng.uniform(-1.0, 1.0, (1, 4))
+    E = rng.uniform(-1.0, 1.0, (1, 2))
+    D1 = -(D2 @ T + E @ V)
+    system = TrueSystem(A1=A1, A2=A2, B2=B2, A3=A3)
+    known = KnownMatrices(A1=A1, A3=A3, D1=D1, D2=D2, E=E)
+    for run in (*(run for run in LONG_RUNS if run < tau), tau):
+        U = rng.uniform(-1.0, 1.0, (2, run))
+        x1, x2 = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 4)
+    data = generate_data(system, x1, x2, U)
+    return Instance(problem=build_problem(data, known), system=system, T=T, V=V)
+
+
 def coupling_free_instance(seed: int) -> Instance:
     """Unknown-coupling instance whose enlarged family has free directions.
 
@@ -245,6 +279,12 @@ BADLY_SCALED = [
     (1978838861, 3, 1, 3, 1, 3),
     (2327356202, 4, 1, 3, 0, 3),
 ]
+
+
+# (seed, n2, m, n1, extra, k) of scaled_experiment, known coupling: condition
+# 2 holds, the closed loop is stable and the family is identified (r = 0),
+# yet the output residual of the gains is about 1e-3, so verification fails.
+UNVERIFIED = (3021645853, 5, 2, 3, 1, 4)
 
 
 def ladder_problems(n2: int | None = None) -> list[tuple[str, Problem]]:

@@ -27,6 +27,7 @@ from ddreg.fileio import (
 from _instances import (
     BADLY_SCALED,
     PLANAR_GAIN_SHAPES,
+    UNVERIFIED,
     WRONG_GAIN_SHAPES,
     coupling_free_instance,
     inconsistent_problem,
@@ -249,15 +250,15 @@ def test_bad_config_value_exits_one_naming_file_and_field(config, tmp_path, caps
 
 
 @pytest.fixture(scope="module")
-def scale_path(tmp_path_factory):
-    """The problem file of S(128, 2), whose condition-1 gains fail verification."""
-    path = tmp_path_factory.mktemp("scale") / "s128_2.json"
-    save_problem(path, scale_instance(128, 2).problem)
+def unverified_path(tmp_path_factory):
+    """The problem file of UNVERIFIED, whose condition-2 gains fail verification."""
+    path = tmp_path_factory.mktemp("unverified") / "unverified.json"
+    save_problem(path, scaled_experiment(*UNVERIFIED))
     return path
 
 
 def _fixture_case(name, *flags):
-    def case(tmp_path, scale_path):
+    def case(tmp_path, unverified_path):
         path = tmp_path / f"{name}.json"
         path.write_text(fixture_text(name))
         return path, list(flags)
@@ -265,10 +266,10 @@ def _fixture_case(name, *flags):
     return case
 
 
-def _regulable_case(seed):
-    def case(tmp_path, scale_path):
-        path = tmp_path / f"regulable_{seed}.json"
-        save_problem(path, regulable_instance(seed).problem)
+def _saved_case(name, make):
+    def case(tmp_path, unverified_path):
+        path = tmp_path / f"{name}.json"
+        save_problem(path, make())
         return path, []
 
     return case
@@ -279,18 +280,26 @@ CHECK_CASES = {
     "scalar-unknown-a3": _fixture_case("scalar", "--unknown-a3"),
     "planar": _fixture_case("planar"),
     "planar-unknown-a3": _fixture_case("planar", "--unknown-a3"),
-    **{f"regulable-{seed}": _regulable_case(seed) for seed in range(5)},
-    "withheld-coupling-6": lambda tmp_path, scale_path: (
+    **{
+        f"regulable-{seed}": _saved_case(
+            f"regulable_{seed}", lambda seed=seed: regulable_instance(seed).problem
+        )
+        for seed in range(5)
+    },
+    "withheld-coupling-6": lambda tmp_path, unverified_path: (
         withheld_coupling_path(tmp_path, 6),
         ["--unknown-a3"],
     ),
-    "S(128,2)": lambda tmp_path, scale_path: (scale_path, []),
+    "S(128,2)": _saved_case("s128_2", lambda: scale_instance(128, 2).problem),
+    "unverified": lambda tmp_path, unverified_path: (unverified_path, []),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHECK_CASES))
-def test_check_prints_what_synth_prints_before_its_write_step(case, tmp_path, scale_path, capsys):
-    path, flags = CHECK_CASES[case](tmp_path, scale_path)
+def test_check_prints_what_synth_prints_before_its_write_step(
+    case, tmp_path, unverified_path, capsys
+):
+    path, flags = CHECK_CASES[case](tmp_path, unverified_path)
     check_code = main(["check", str(path), *flags])
     check_out = capsys.readouterr().out
     synth_code = main(["synth", str(path), *flags, "-o", str(tmp_path / "regulator.json")])
@@ -303,13 +312,16 @@ def test_check_prints_what_synth_prints_before_its_write_step(case, tmp_path, sc
     assert check_code == synth_code
 
 
-def test_gains_that_fail_verification_exit_two_from_check_and_synth(scale_path, tmp_path, capsys):
-    # S(128, 2): condition 1 holds, but its gains miss the output residual.
+def test_gains_that_fail_verification_exit_two_from_check_and_synth(
+    unverified_path, tmp_path, capsys
+):
+    # UNVERIFIED: condition 2 holds, but its gains miss the output residual.
     out_path = tmp_path / "regulator.json"
-    for argv in (["check", str(scale_path)], ["synth", str(scale_path), "-o", str(out_path)]):
+    path = str(unverified_path)
+    for argv in (["check", path], ["synth", path, "-o", str(out_path)]):
         assert main(argv) == 2
         lines = capsys.readouterr().out.splitlines()
-        assert "informative for regulator design via condition1" in lines
+        assert "informative for regulator design via condition2" in lines
         assert any(
             line.startswith("verification over the whole family (r=0): FAIL;") for line in lines
         )
